@@ -97,20 +97,16 @@ def from_csv(
 ) -> TimeSeries:
     """Parse one numeric column of a UTF-8 CSV (header row required).
 
+    A leading byte-order mark, as Excel writes, is ignored.
+
     ``column`` selects by header name or zero-based index.  Rows whose
     target cell is not a finite real number raise :class:`ParseError`
     carrying the 1-based file line number; nothing is skipped silently.
     ``date_column`` optionally attaches a timestamp column (informational).
     """
-    if isinstance(data, bytes):
-        text = io.StringIO(data.decode("utf-8"))
-    elif isinstance(data, str):
-        text = io.StringIO(data)
-    else:
-        raw = data.read()
-        text = io.StringIO(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
-
-    reader = csv.reader(text)
+    raw = data if isinstance(data, (bytes, str)) else data.read()
+    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         header = next(reader)
     except StopIteration:

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from tsnet import netstats
 from tsnet import (
     DegenerateFit,
     DegreeDistribution,
@@ -128,7 +131,9 @@ class TestPaths:
             all_pairs_average_path(g)
 
     def test_thread_env_does_not_change_value(self, rng, monkeypatch):
-        g = build_fast(rng.normal(size=700))
+        # 1600 nodes make at least 4 passes of up to 512 sources, so three
+        # workers really run passes concurrently
+        g = build_fast(rng.normal(size=1600))
         monkeypatch.setenv("TSNET_THREADS", "1")
         l1 = all_pairs_average_path(g)
         monkeypatch.setenv("TSNET_THREADS", "3")
@@ -142,6 +147,70 @@ class TestPaths:
         monkeypatch.setenv("TSNET_THREADS", "0")
         with pytest.raises(InvalidParam):
             all_pairs_average_path(path3)
+
+
+def _path_graph(n):
+    return graph_from_pairs(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _complete_graph(n):
+    return graph_from_pairs(n, list(itertools.combinations(range(n), 2)))
+
+
+def _star_graph(n):
+    return graph_from_pairs(n, [(0, i) for i in range(1, n)])
+
+
+def _spike_graph(n):
+    # flat series with one peak: a path along the floor (collinear points
+    # block each other) plus a hub that sees every sample
+    y = np.zeros(n)
+    y[n // 3] = 1e6
+    return build_fast(y)
+
+
+class TestBitParallelBfs:
+    """Exact agreement with Floyd-Warshall on graphs that stress the kernel."""
+
+    @pytest.mark.parametrize(
+        "make, n",
+        [
+            (_path_graph, 200),  # the most BFS levels for its size
+            (_complete_graph, 129),  # one level; dense enough for two passes
+            (_star_graph, 300),
+            (_spike_graph, 257),
+        ],
+    )
+    def test_adversarial_graphs(self, make, n):
+        g = make(n)
+        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
+    def test_word_boundaries(self, n, rng):
+        for g in (_path_graph(n), build_fast(rng.normal(size=n))):
+            assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+
+    @pytest.mark.parametrize("words", [1, 2, 8])
+    def test_pass_width_does_not_change_value(self, words, monkeypatch):
+        g = _spike_graph(129)
+        expected = floyd_warshall_average_path(g)
+        monkeypatch.setattr(netstats, "_pass_words", lambda n, m: words)
+        assert all_pairs_average_path(g) == expected
+
+    @pytest.mark.parametrize("isolated", [0, 40, 79])
+    def test_isolated_node_is_disconnected(self, isolated):
+        others = [v for v in range(80) if v != isolated]
+        g = graph_from_pairs(80, list(zip(others, others[1:])))
+        with pytest.raises(DisconnectedGraph, match="isolated node"):
+            all_pairs_average_path(g)
+
+    def test_two_components_without_isolated_node(self):
+        g = graph_from_pairs(
+            130, [(i, i + 1) for i in range(129) if i != 64]
+        )
+        assert g.degrees().min() >= 1
+        with pytest.raises(DisconnectedGraph):
+            all_pairs_average_path(g)
 
 
 class TestSmallWorld:

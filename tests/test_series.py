@@ -88,6 +88,20 @@ class TestFromCsv:
         assert from_csv(raw, column="value").n == 3
         assert from_csv(io.BytesIO(raw), column=0).n == 3
 
+    def test_excel_bom_bytes(self):
+        raw = "\ufeffdate,value\n2020-01,1\n2020-02,2\n".encode("utf-8")
+        for data in (raw, io.BytesIO(raw)):
+            ts = from_csv(data, column="value", date_column="date")
+            assert ts.values.tolist() == [1.0, 2.0]
+            assert ts.timestamps == ("2020-01", "2020-02")
+
+    def test_excel_bom_text(self):
+        text = "\ufeffdate,value\n2020-01,1\n2020-02,2\n"
+        for data in (text, io.StringIO(text)):
+            ts = from_csv(data, column="value", date_column="date")
+            assert ts.values.tolist() == [1.0, 2.0]
+            assert ts.timestamps == ("2020-01", "2020-02")
+
     def test_missing_column_lists_available(self):
         with pytest.raises(MissingColumn) as exc_info:
             from_csv("a,b\n1,2\n", column="c")
