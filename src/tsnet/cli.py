@@ -60,16 +60,23 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
-def _load_series(path: str, column: str) -> TimeSeries:
+def _load_series(path: str, column: str, date_end: str | None) -> TimeSeries:
+    """Read the value column; with ``date_end``, cut it at that date.
+
+    The date column is the first header that contains "date", ignoring
+    case, and is not the value column.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
-    header_line = data.split(b"\n", 1)[0].decode("utf-8-sig", errors="replace")
-    header = next(csv.reader(io.StringIO(header_line)), [])
-    date_col = next(
-        (name for name in header if name.strip().lower() == "date"), None
-    )
     col: str | int = int(column) if column.lstrip("-").isdigit() else column
-    return from_csv(data, column=col, date_column=date_col, label=Path(path).name)
+    date_col = None
+    if date_end:
+        header_line = data.split(b"\n", 1)[0].decode("utf-8-sig", errors="replace")
+        header = [h.strip() for h in next(csv.reader(io.StringIO(header_line)), [])]
+        dated = (i for i, h in enumerate(header) if "date" in h.lower())
+        date_col = next((i for i in dated if col not in (i, header[i])), None)
+    ts = from_csv(data, column=col, date_column=date_col, label=Path(path).name)
+    return _truncate_to_date(ts, date_end) if date_end else ts
 
 
 def _truncate_to_date(ts: TimeSeries, date_end: str) -> TimeSeries:
@@ -87,9 +94,7 @@ def _truncate_to_date(ts: TimeSeries, date_end: str) -> TimeSeries:
 
 
 def _cmd_analyze(args) -> int:
-    ts = _load_series(args.input, args.column)
-    if args.date_end:
-        ts = _truncate_to_date(ts, args.date_end)
+    ts = _load_series(args.input, args.column, args.date_end)
     tail_range = (args.tail_kmin, None) if args.tail_kmin is not None else None
     report = build_report(
         ts,
@@ -142,9 +147,7 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    ts = _load_series(args.input, args.column)
-    if args.date_end:
-        ts = _truncate_to_date(ts, args.date_end)
+    ts = _load_series(args.input, args.column, args.date_end)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -196,7 +199,8 @@ def _add_series_args(parser: argparse.ArgumentParser) -> None:
         "--date-end",
         default=None,
         metavar="YYYY-MM[-DD]",
-        help="keep only rows dated on or before this (prefix match allowed)",
+        help="keep only rows dated on or before this (prefix match allowed); "
+        "dates come from the first column whose header contains 'date'",
     )
     parser.add_argument(
         "--dfa-order", type=int, default=2, help="detrending polynomial order"

@@ -13,13 +13,16 @@ class TsnetError(Exception):
 
 
 class MissingColumn(TsnetError):
-    """Requested CSV column is absent from the header (or index out of range)."""
+    """Requested CSV column is absent from the header, or the file has no
+    header and the column was named (or the index is out of range)."""
 
 
 class ParseError(TsnetError):
     """A CSV cell in the target column does not parse as a finite real number.
 
-    ``row`` is the 1-based line number in the file (the header is row 1).
+    Also raised for bytes that are not UTF-8, malformed CSV and timestamps
+    out of order.  ``row`` is the 1-based line number in the file (a
+    header, when the file has one, is row 1).
     """
 
     def __init__(self, message: str, row: int | None = None):

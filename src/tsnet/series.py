@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
@@ -92,33 +93,67 @@ class SummaryStats:
 def from_csv(
     data: bytes | str | IO,
     column: str | int,
-    date_column: str | None = None,
+    date_column: str | int | None = None,
     label: str | None = None,
 ) -> TimeSeries:
-    """Parse one numeric column of a UTF-8 CSV (header row required).
+    """Parse one numeric column of a UTF-8 CSV.
 
-    A leading byte-order mark, as Excel writes, is ignored.
+    A leading byte-order mark, as Excel writes, is ignored.  Row 1 is the
+    header unless every one of its cells is a finite real number; then
+    the file has no header, row 1 is data, and columns are addressed by
+    zero-based index only.
 
     ``column`` selects by header name or zero-based index.  Rows whose
     target cell is not a finite real number raise :class:`ParseError`
     carrying the 1-based file line number; nothing is skipped silently.
-    ``date_column`` optionally attaches a timestamp column (informational).
+    So do bytes that are not UTF-8 and malformed CSV.  ``date_column``
+    optionally attaches a timestamp column (informational), whose
+    entries must increase strictly.
     """
     raw = data if isinstance(data, (bytes, str)) else data.read()
-    text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    if isinstance(raw, bytes):
+        try:
+            raw = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = raw.count(b"\n", 0, exc.start) + 1
+            raise ParseError(
+                f"row {line_no}: byte 0x{raw[exc.start]:02x} is not valid UTF-8",
+                row=line_no,
+            ) from None
+    reader = csv.reader(io.StringIO(raw.removeprefix("\ufeff")))
     try:
-        header = next(reader)
+        values, stamps = _read_rows(reader, column, date_column)
+    except csv.Error as exc:
+        line_no = reader.line_num
+        raise ParseError(f"row {line_no}: {exc}", row=line_no) from None
+    if not values:
+        raise EmptySeries("CSV contains no data rows")
+
+    return TimeSeries(
+        np.asarray(values),
+        label=label if label is not None else str(column),
+        timestamps=tuple(stamps) if date_column is not None else None,
+    )
+
+
+def _read_rows(reader, column, date_column) -> tuple[list[float], list[str]]:
+    try:
+        first = [cell.strip() for cell in next(reader)]
     except StopIteration:
         raise EmptySeries("CSV has no header row") from None
-    header = [h.strip() for h in header]
-
-    col_idx = _resolve_column(header, column)
-    date_idx = _resolve_column(header, date_column) if date_column is not None else None
+    headerless = bool(first) and all(_finite_real(cell) for cell in first)
+    header = None if headerless else first
+    col_idx = _resolve_column(header, len(first), column)
+    date_idx = (
+        _resolve_column(header, len(first), date_column)
+        if date_column is not None
+        else None
+    )
 
     values: list[float] = []
     stamps: list[str] = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in itertools.chain([first], reader) if headerless else reader:
+        line_no = reader.line_num  # a quoted newline makes a record span lines
         if not row or all(cell.strip() == "" for cell in row):
             continue  # blank line, common as a trailing artifact
         if col_idx >= len(row):
@@ -134,23 +169,35 @@ def from_csv(
             raise ParseError(f"row {line_no}: non-finite value {cell!r}", row=line_no)
         values.append(value)
         if date_idx is not None:
-            stamps.append(row[date_idx].strip() if date_idx < len(row) else "")
-
-    if not values:
-        raise EmptySeries("CSV contains no data rows")
-
-    return TimeSeries(
-        np.asarray(values),
-        label=label if label is not None else str(column),
-        timestamps=tuple(stamps) if date_idx is not None else None,
-    )
+            stamp = row[date_idx].strip() if date_idx < len(row) else ""
+            if stamps and stamp <= stamps[-1]:
+                raise ParseError(
+                    f"row {line_no}: date {stamp!r} does not follow {stamps[-1]!r}",
+                    row=line_no,
+                )
+            stamps.append(stamp)
+    return values, stamps
 
 
-def _resolve_column(header: Sequence[str], column: str | int) -> int:
+def _finite_real(cell: str) -> bool:
+    try:
+        return bool(np.isfinite(float(cell)))
+    except ValueError:
+        return False
+
+
+def _resolve_column(header: Sequence[str] | None, width: int, column: str | int) -> int:
     if isinstance(column, int):
-        if not 0 <= column < len(header):
-            raise MissingColumn(f"column index {column} out of range (header has {len(header)})")
+        if not 0 <= column < width:
+            raise MissingColumn(
+                f"column index {column} out of range (row 1 has {width} cells)"
+            )
         return column
+    if header is None:
+        raise MissingColumn(
+            f"column {column!r} named, but row 1 is numeric, so the file has no "
+            "header; address the column by zero-based index"
+        )
     try:
         return header.index(column)
     except ValueError:

@@ -161,6 +161,45 @@ class TestDateHandling:
         assert "date" in capsys.readouterr().err.lower()
 
 
+    def test_date_header_contains_date(self, write_csv, capsys):
+        rows = "\n".join(f"{m},2018-{m:02d},{float(m)!r}" for m in range(1, 13))
+        path = write_csv("id,Obs_Date,epu\n" + rows + "\n")
+        assert run(["analyze", "--input", path, "--column", "epu",
+                    "--date-end", "2018-05"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["n"] == 5
+        assert report["summary"]["max"] == 5.0
+
+    def test_value_column_is_not_the_date_column(self, write_csv, capsys):
+        # "update_count" contains "date" but is the value column
+        rows = "\n".join(f"{m},2018-{m:02d}" for m in range(1, 13))
+        path = write_csv("update_count,date\n" + rows + "\n")
+        assert run(["analyze", "--input", path, "--column", "update_count",
+                    "--date-end", "2018-03"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["n"] == 3
+
+    def test_unsorted_dates_are_runtime_error(self, write_csv, capsys):
+        path = write_csv("date,epu\n2018-02,1\n2018-01,2\n2018-03,3\n")
+        assert run(["analyze", "--input", path, "--column", "epu",
+                    "--date-end", "2018-02"]) == 1
+        assert "row 3" in capsys.readouterr().err
+
+
+class TestIngest:
+    def test_headerless_keeps_first_row(self, write_csv, capsys):
+        path = write_csv("".join(f"{v}\n" for v in (3.0, 1.0, 4.0, 1.5, 9.0, 2.6)))
+        assert run(["analyze", "--input", path, "--column", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["n"] == 6
+        assert report["summary"]["max"] == 9.0
+
+    def test_non_utf8_is_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"v\n1\n\xff\n")
+        assert run(["analyze", "--input", str(path), "--column", "v"]) == 1
+        assert "row 3" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_byte_identical_across_runs_and_threads(self, fgn_csv, tmp_path,
                                                     monkeypatch):

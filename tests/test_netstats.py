@@ -55,8 +55,9 @@ class TestOracleEquivalence:
             g = build_fast(rng.normal(size=n))
             rep = clustering(g)
             per_ref = clustering_by_triples(g)
-            assert rep.per_node == pytest.approx(per_ref, abs=1e-9)
-            assert rep.average == pytest.approx(per_ref.mean(), abs=1e-9)
+            # triangles are counted as integers, so the floats are identical
+            assert np.array_equal(rep.per_node, per_ref)
+            assert rep.average == per_ref.mean()
             assert assortativity(g) == pytest.approx(
                 assortativity_direct(g), abs=1e-9
             )
@@ -211,6 +212,72 @@ class TestBitParallelBfs:
         assert g.degrees().min() >= 1
         with pytest.raises(DisconnectedGraph):
             all_pairs_average_path(g)
+
+
+_KITE = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
+
+
+def _walk_graph(n, rng):
+    # a random walk's visibility graph has hubs with more neighbors than a
+    # 64-bit word holds
+    return build_fast(np.cumsum(rng.normal(size=n)))
+
+
+def _tie_graph(n, rng):
+    return build_fast(rng.integers(0, 3, size=n).astype(np.float64))
+
+
+class TestBitParallelClustering:
+    """Exact agreement with triple enumeration on graphs that stress the kernel."""
+
+    @staticmethod
+    def assert_exact(g):
+        rep = clustering(g)
+        per_ref = clustering_by_triples(g)
+        assert np.array_equal(rep.per_node, per_ref)
+        assert rep.average == per_ref.mean()
+
+    def test_complete_graph_two_chunks(self):
+        g = _complete_graph(129)
+        assert netstats._pass_words(g.n, g.m) == 2  # chunks of 128 and 1
+        self.assert_exact(g)
+        assert clustering(g).c_min == 1.0
+
+    def test_star(self):
+        self.assert_exact(_star_graph(300))
+
+    def test_kite(self):
+        self.assert_exact(graph_from_pairs(5, _KITE))
+
+    def test_isolated_nodes(self):
+        # the kite on nodes 1..5, with nodes 0, 6 and 7 isolated
+        g = graph_from_pairs(8, [(a + 1, b + 1) for a, b in _KITE])
+        self.assert_exact(g)
+        assert clustering(g).per_node[[0, 6, 7]].tolist() == [0.0, 0.0, 0.0]
+
+    def test_hub_heavy_walk(self, rng):
+        g = _walk_graph(700, rng)
+        assert g.degrees().max() > 64
+        self.assert_exact(g)
+
+    def test_tie_heavy_integer_series(self, rng):
+        self.assert_exact(_tie_graph(600, rng))
+
+    @pytest.mark.parametrize("words", [1, 2, 8])
+    def test_chunk_width_does_not_change_value(self, words, rng, monkeypatch):
+        graphs = [
+            _complete_graph(129),
+            _walk_graph(700, rng),
+            _tie_graph(600, rng),
+            _spike_graph(257),
+        ]
+        monkeypatch.setattr(netstats, "_pass_words", lambda n, m: words)
+        for g in graphs:
+            self.assert_exact(g)
+
+    def test_edgeless_graph(self):
+        with pytest.raises(ZeroDegreeVariance):
+            clustering(graph_from_pairs(3, []))
 
 
 class TestSmallWorld:

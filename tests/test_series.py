@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as sstats
 
 from tsnet import (
@@ -11,6 +11,7 @@ from tsnet import (
     MissingColumn,
     ParseError,
     TimeSeries,
+    TsnetError,
     from_csv,
     summary,
 )
@@ -113,6 +114,11 @@ class TestFromCsv:
             from_csv("v\n1\nx\n3\n", column="v")
         assert exc_info.value.row == 3  # header is row 1
 
+    def test_row_counts_file_lines_across_quoted_newline(self):
+        with pytest.raises(ParseError) as exc_info:
+            from_csv('v\n"1\n"\nx\n', column="v")
+        assert exc_info.value.row == 4
+
     def test_non_finite_cell_rejected(self):
         with pytest.raises(ParseError):
             from_csv("v\n1\nnan\n", column="v")
@@ -132,6 +138,64 @@ class TestFromCsv:
     def test_label_defaults_to_column(self):
         assert from_csv("v\n1\n2\n", column="v").label == "v"
         assert from_csv("v\n1\n2\n", column="v", label="z").label == "z"
+
+
+    def test_invalid_utf8_reports_line(self):
+        for raw, line in [(b"v\n1\n\xff\n", 3), (b"\xfe,v\n1\n", 1)]:
+            with pytest.raises(ParseError, match="UTF-8") as exc_info:
+                from_csv(raw, column="v")
+            assert exc_info.value.row == line
+
+    def test_headerless_keeps_first_row(self):
+        for data in ("1\n2\n3\n4\n", b"1\n2\n3\n4\n", "\ufeff1\n2\n3\n4\n"):
+            ts = from_csv(data, column=0)
+            assert ts.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        ts = from_csv("5,-1.5e3\n6,2\n", column=1)
+        assert ts.values.tolist() == [-1500.0, 2.0]
+
+    def test_headerless_rejects_column_name(self):
+        with pytest.raises(MissingColumn, match="no header"):
+            from_csv("1,2\n3,4\n", column="value")
+
+    def test_headerless_bad_cell_reports_file_row(self):
+        with pytest.raises(ParseError) as exc_info:
+            from_csv("1\n2\nx\n", column=0)
+        assert exc_info.value.row == 3  # no header, so row 1 is data
+
+    def test_non_numeric_first_row_is_header(self):
+        for text in ("v\n1\n2\n", "1,a\n1,2\n3,4\n", "nan\n1\n2\n"):
+            assert from_csv(text, column=0).n == 2
+
+    def test_dates_must_increase(self):
+        text = "date,v\n2020-02,1\n2020-01,2\n"
+        with pytest.raises(ParseError, match="2020-01") as exc_info:
+            from_csv(text, column="v", date_column="date")
+        assert exc_info.value.row == 3
+        assert from_csv(text, column="v").n == 2
+
+    def test_field_over_csv_limit(self):
+        with pytest.raises(ParseError):
+            from_csv('v\n"' + "1" * 200_000 + '"\n', column="v")
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.one_of(
+            st.binary(max_size=64),
+            st.text(max_size=64),
+            # CSV-like text, so that some draws parse
+            st.text(alphabet="0123456789.,-e\n\r\t \"\x00\ufeffdatev", max_size=64),
+        ),
+        column=st.one_of(st.integers(-1, 3), st.sampled_from(["v", "date", ""])),
+        date_column=st.sampled_from([None, 0, 1, "date"]),
+    )
+    @example(data=b"v\n1\n\xff\n", column="v", date_column=None)
+    def test_fuzz_series_or_named_error(self, data, column, date_column):
+        try:
+            ts = from_csv(data, column=column, date_column=date_column)
+        except TsnetError:
+            return
+        assert ts.n >= 1 and np.all(np.isfinite(ts.values))
+        assert (ts.timestamps is None) == (date_column is None)
 
 
 # frozen expectations, cross-checked against scipy bias-corrected moments
