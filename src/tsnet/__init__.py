@@ -17,20 +17,20 @@ from .errors import (
     NetworkError,
     ParseError,
     ScaleOutOfRange,
+    MomentOverflow,
     SeriesTooShort,
     TsnetError,
     UnrecognizedFormat,
     ZeroDegreeVariance,
 )
 from .series import SummaryStats, TimeSeries, from_csv, summary
-from .visibility import VisibilityGraph, build_fast, build_naive, degree_sequence
+from .visibility import VisibilityGraph, build_fast, build_naive
 from .dfa import (
     DfaResult,
     classify_persistence,
     default_scales,
     dfa_fluctuation,
     estimate_hurst,
-    hurst,
 )
 from .netstats import (
     ClusteringReport,
@@ -54,6 +54,7 @@ __all__ = [
     "TsnetError",
     "EmptySeries",
     "SeriesTooShort",
+    "MomentOverflow",
     "MissingColumn",
     "ParseError",
     "ScaleOutOfRange",
@@ -71,10 +72,8 @@ __all__ = [
     "VisibilityGraph",
     "build_naive",
     "build_fast",
-    "degree_sequence",
     "DfaResult",
     "dfa_fluctuation",
-    "hurst",
     "estimate_hurst",
     "default_scales",
     "classify_persistence",

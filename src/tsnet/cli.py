@@ -177,7 +177,7 @@ def _cmd_plotdata(args) -> int:
 
     if args.small_world and graph is not None:
         try:
-            curve = small_world_curve(ts, sizes=args.prefix_sizes)
+            curve = small_world_curve(graph, sizes=args.prefix_sizes)
             rows = "".join(
                 f"{int(n)},{float(length)!r}\n"
                 for n, length in zip(curve.sizes, curve.lengths)

@@ -9,21 +9,21 @@ The Hurst exponent is the slope of ln F(n) against ln n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._fit import linear_fit, log_spaced_ints
 from .errors import DegenerateFit, InvalidParam, ScaleOutOfRange, SeriesTooShort
-from .visibility import _series_values
+from .series import _series_values
 
 _MIN_SCALE = 8
 _DEFAULT_SCALE_COUNT = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class DfaResult:
-    """Fluctuation function and, once fitted, the Hurst estimate."""
+    """Fluctuation function and, from :func:`estimate_hurst`, the Hurst fit."""
 
     scales: np.ndarray
     fluctuations: np.ndarray
@@ -88,14 +88,16 @@ def _fluctuation_at_scale(profile: np.ndarray, s: int, order: int) -> float:
     return float(np.sqrt(np.mean(resid * resid)))
 
 
-def hurst(result: DfaResult, fit_range: tuple[int, int] | None = None) -> float:
-    """Fit ln F(n) vs ln n and store the slope on the result.
+def estimate_hurst(ts, scales=None, order: int = 2,
+                   fit_range: tuple[int, int] | None = None) -> DfaResult:
+    """Fluctuation function and its Hurst fit, as one new result.
 
-    Scales with F(n) == 0 carry no log information and are dropped;
-    fewer than two usable scales is a degenerate fit.
+    The slope of ln F(n) vs ln n is fitted over the scales in
+    ``fit_range`` (default: all) with F(n) > 0; fewer than two such
+    scales is a degenerate fit.
     """
-    scales = result.scales
-    flucts = result.fluctuations
+    result = dfa_fluctuation(ts, scales=scales, order=order)
+    scales, flucts = result.scales, result.fluctuations
     if fit_range is not None:
         lo, hi = fit_range
         keep = (scales >= lo) & (scales <= hi)
@@ -107,18 +109,12 @@ def hurst(result: DfaResult, fit_range: tuple[int, int] | None = None) -> float:
             f"{scales.size} usable scales after filtering, need 2"
         )
     fit = linear_fit(np.log(scales.astype(np.float64)), np.log(flucts))
-    result.hurst = fit.slope
-    result.fit_r2 = fit.r2
-    result.fit_range = (int(scales[0]), int(scales[-1]))
-    return fit.slope
-
-
-def estimate_hurst(ts, scales=None, order: int = 2,
-                   fit_range: tuple[int, int] | None = None) -> DfaResult:
-    """Fluctuation function and Hurst fit in one call."""
-    result = dfa_fluctuation(ts, scales=scales, order=order)
-    hurst(result, fit_range=fit_range)
-    return result
+    return replace(
+        result,
+        hurst=fit.slope,
+        fit_r2=fit.r2,
+        fit_range=(int(scales[0]), int(scales[-1])),
+    )
 
 
 def classify_persistence(h: float, tol: float = 1e-9) -> str:

@@ -34,6 +34,10 @@ class EmptySeries(TsnetError):
     """No usable observations."""
 
 
+class MomentOverflow(TsnetError):
+    """The squared deviations of the values from their mean sum past float64."""
+
+
 # --- graph construction -------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from .errors import (
     InvalidParam,
     ZeroDegreeVariance,
 )
-from .visibility import VisibilityGraph, build_fast, _series_values
+from .visibility import VisibilityGraph
 
 # Slope magnitudes below this are reported as flat (complete-graph regime,
 # where L is constant and the log fit carries no information).
@@ -291,10 +291,13 @@ def default_prefix_sizes(n: int, count: int = 30, start: int = 64) -> list[int]:
     return [int(v) for v in log_spaced_ints(lo, n, count)]
 
 
-def small_world_curve(ts, sizes: list[int] | None = None) -> SmallWorldCurve:
-    """L(N) on growing prefixes of the series, fit against ln N."""
-    y = _series_values(ts)
-    n = y.size
+def small_world_curve(g: VisibilityGraph,
+                      sizes: list[int] | None = None) -> SmallWorldCurve:
+    """L(N) on growing prefixes of the series behind ``g``, fit against ln N.
+
+    The graph of the first k samples is ``g.prefix(k)``.
+    """
+    n = g.n
     if sizes is None:
         sizes = default_prefix_sizes(n)
     else:
@@ -304,7 +307,7 @@ def small_world_curve(ts, sizes: list[int] | None = None) -> SmallWorldCurve:
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InvalidParam("prefix sizes must be strictly increasing")
     lengths = np.array(
-        [all_pairs_average_path(build_fast(y[:k])) for k in sizes], dtype=np.float64
+        [all_pairs_average_path(g.prefix(k)) for k in sizes], dtype=np.float64
     )
     size_arr = np.asarray(sizes, dtype=np.int64)
     slope = intercept = r2 = None

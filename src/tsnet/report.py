@@ -168,7 +168,7 @@ def build_report(
         return report
 
     def small_world_section():
-        curve = small_world_curve(ts, sizes=prefix_sizes)
+        curve = small_world_curve(graph, sizes=prefix_sizes)
         out = {
             "sizes": curve.sizes,
             "lengths": curve.lengths,
@@ -177,7 +177,7 @@ def build_report(
             "r2": curve.r2,
             "flat": curve.flat if curve.slope is not None else None,
             "average_path_full": float(curve.lengths[-1])
-            if int(curve.sizes[-1]) == ts.n
+            if int(curve.sizes[-1]) == graph.n
             else all_pairs_average_path(graph),
         }
         if curve.r2 is not None and clustering_avg is not None:

@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import EmptySeries, MissingColumn, ParseError
+from .errors import EmptySeries, MissingColumn, MomentOverflow, ParseError
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,8 @@ class TimeSeries:
 
     Invariants enforced at construction:
 
-    * ``values`` is 1-d, length >= 1, every entry finite
+    * ``values`` is 1-d, length >= 1, every entry finite, and the sum of
+      squared deviations from the mean is finite
     * ``timestamps``, if given, is strictly increasing and aligned with
       ``values``
     """
@@ -42,6 +44,7 @@ class TimeSeries:
             raise EmptySeries("series has no observations")
         if not np.all(np.isfinite(values)):
             raise ValueError("series values must be finite (no NaN or infinity)")
+        _centre(values)
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -68,6 +71,29 @@ class TimeSeries:
             raise ValueError(f"prefix length {k} outside [1, {self.n}]")
         stamps = self.timestamps[:k] if self.timestamps is not None else None
         return TimeSeries(self.values[:k], label=self.label, timestamps=stamps)
+
+
+def _series_values(ts) -> np.ndarray:
+    """Values of a TimeSeries, or of a 1-d array that makes a valid one."""
+    return ts.values if isinstance(ts, TimeSeries) else TimeSeries(ts).values
+
+
+def _centre(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean of finite values and their deviations from it; raises
+    :class:`MomentOverflow` when the squared deviations sum past float64."""
+    lo = float(np.min(x))
+    hi = float(np.max(x))
+    with np.errstate(over="ignore"):
+        # Equal values have exactly zero variance, but np.mean of them can
+        # round one ulp away, and the moments of that rounding error are
+        # pure noise.  Rounding can also carry the mean past an extreme.
+        mean = lo if lo == hi else min(max(float(np.mean(x)), lo), hi)
+        d = x - mean
+        if not math.isfinite(float(np.sum(d * d))):
+            raise MomentOverflow(
+                f"values in [{lo!r}, {hi!r}] spread too far for float64 moments"
+            )
+    return mean, d
 
 
 @dataclass(frozen=True)
@@ -215,22 +241,18 @@ def summary(ts: TimeSeries) -> SummaryStats:
     """
     x = ts.values
     n = x.size
-    lo = float(np.min(x))
-    hi = float(np.max(x))
-    # Equal values have exactly zero variance, but np.mean of them can round
-    # one ulp away, and the moments of that rounding error are pure noise.
-    mean = lo
+    mean, d = _centre(x)
     std = 0.0
     skew: float | None = None
     kurt: float | None = None
-    if lo < hi:
-        # Rounding in the sum can also carry the mean just past an extreme.
-        mean = min(max(float(np.mean(x)), lo), hi)
-        d = x - mean
-        std = float(np.sqrt(np.sum(d * d) / (n - 1)))
-
-    if std > 0.0:
-        z = d / std
+    if d.any():
+        # Scaling by a power of two is exact; it keeps the squares of tiny
+        # deviations out of the subnormal range, where they lose digits.
+        exponent = math.frexp(float(np.max(np.abs(d))))[1]
+        e = np.ldexp(d, -exponent)
+        scaled_std = math.sqrt(float(np.sum(e * e)) / (n - 1))
+        std = math.ldexp(scaled_std, exponent)
+        z = e / scaled_std
         if n >= 3:
             skew = float(n / ((n - 1) * (n - 2)) * np.sum(z**3))
         if n >= 4:
@@ -244,8 +266,8 @@ def summary(ts: TimeSeries) -> SummaryStats:
         n=n,
         mean=mean,
         median=float(np.median(x)),
-        min=lo,
-        max=hi,
+        min=float(np.min(x)),
+        max=float(np.max(x)),
         std_dev=std,
         skewness=skew,
         kurtosis=kurt,

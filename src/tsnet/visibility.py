@@ -14,7 +14,8 @@ Two builders:
 * :func:`build_fast` divides and conquers on the segment maximum: a chord
   spanning a segment's maximum cannot clear it, so every edge inside a
   segment is incident to the maximum or confined to one side.  Near
-  O(N log N) on typical data; identical edge set to the naive builder.
+  O(N log N) on typical data.  The builders round different slopes, so
+  they can disagree on a sample within rounding error of a chord.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SeriesTooShort
-from .series import TimeSeries
+from .series import _series_values
 
 # Below this segment length the scalar sweep beats numpy call overhead.
 # Scalar and vector sweeps apply identical float comparisons, so the
@@ -88,17 +89,16 @@ class VisibilityGraph:
     def edge_set(self) -> set[tuple[int, int]]:
         return {(int(i), int(j)) for i, j in self.edge_array()}
 
-
-def _series_values(ts) -> np.ndarray:
-    """Accept a TimeSeries or any 1-d array of finite floats."""
-    if isinstance(ts, TimeSeries):
-        return ts.values
-    values = np.asarray(ts, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError(f"expected 1-d series, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("series values must be finite")
-    return values
+    def prefix(self, k: int) -> "VisibilityGraph":
+        """Subgraph induced by nodes ``0..k-1``: the graph of the series'
+        first ``k`` samples, as visibility of i < j depends only on y[i..j]."""
+        if not 1 <= k <= self.n:
+            raise ValueError(f"prefix length {k} outside [1, {self.n}]")
+        head = self.indices[: self.indptr[k]]
+        keep = head < k  # a leading run of each ascending row
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr[: k + 1]]
+        m = int(indptr[-1]) // 2
+        return VisibilityGraph(n=k, indptr=indptr, indices=head[keep], m=m)
 
 
 def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> VisibilityGraph:
@@ -141,15 +141,17 @@ def build_naive(ts) -> VisibilityGraph:
 def build_fast(ts) -> VisibilityGraph:
     """Divide-and-conquer visibility graph builder.
 
-    Processes a segment by sweeping outward from its (leftmost) maximum,
-    keeping the running extreme slope, then recurses on the two sides.
-    Any pair spanning the maximum is blocked by it, so no edge is missed.
-    Edge set is identical to :func:`build_naive`.
+    Links each segment's (leftmost) maximum p to the samples it sees,
+    then recurses on the two sides; a pair spanning p is blocked by it.
+    Sweeping out from p on either side, x is linked iff its slope
+    ``(y[x] - y[p]) / |x - p|`` strictly beats that of every sample in
+    between: :func:`build_naive`'s criterion, anchored at the higher end.
     """
     y = _series_values(ts)
     n = y.size
     if n < 2:
         raise SeriesTooShort(f"need at least 2 observations, got {n}")
+    values = y.tolist()  # the scalar sweep reads Python floats fastest
 
     u_chunks: list[np.ndarray] = []
     v_chunks: list[np.ndarray] = []
@@ -160,58 +162,28 @@ def build_fast(ts) -> VisibilityGraph:
     while stack:
         lo, hi = stack.pop()
         p = lo + int(np.argmax(y[lo : hi + 1]))  # leftmost maximum on ties
-
-        if p > lo:
-            seg = p - lo
-            if seg < _SMALL_SEGMENT:
-                run_min = math.inf
-                for x in range(p - 1, lo - 1, -1):
-                    g = (y[x] - y[p]) / (x - p)
-                    if g < run_min:
-                        scalar_u.append(x)
-                        scalar_v.append(p)
-                        run_min = g
-            else:
-                g = (y[lo:p] - y[p]) / np.arange(lo - p, 0, dtype=np.float64)
-                g = g[::-1]  # nearest-to-farthest from the pivot
-                vis = np.empty(seg, dtype=bool)
-                vis[0] = True
-                run_min = np.minimum.accumulate(g)
-                vis[1:] = g[1:] < run_min[:-1]
-                xs = p - 1 - np.flatnonzero(vis)
-                u_chunks.append(xs)
-                v_chunks.append(np.full(xs.size, p, dtype=np.int64))
-            if p - 1 > lo:
-                stack.append((lo, p - 1))
-
-        if p < hi:
-            seg = hi - p
+        yp = values[p]
+        for step, a, b in ((-1, lo, p), (1, p + 1, hi + 1)):  # sides [a, b)
+            seg = b - a
             if seg < _SMALL_SEGMENT:
                 run_max = -math.inf
-                for x in range(p + 1, hi + 1):
-                    s = (y[x] - y[p]) / (x - p)
+                for d, v in enumerate(values[a:b][::step], 1):
+                    s = (v - yp) / d
                     if s > run_max:
                         scalar_u.append(p)
-                        scalar_v.append(x)
+                        scalar_v.append(p + step * d)
                         run_max = s
             else:
-                s = (y[p + 1 : hi + 1] - y[p]) / np.arange(1, seg + 1, dtype=np.float64)
-                vis = np.empty(seg, dtype=bool)
-                vis[0] = True
-                run_max = np.maximum.accumulate(s)
-                vis[1:] = s[1:] > run_max[:-1]
-                xs = p + 1 + np.flatnonzero(vis)
+                s = np.empty(seg + 1)  # s[d]: slope at distance d
+                s[0] = -math.inf
+                np.divide(y[a:b][::step] - yp, np.arange(1.0, seg + 1), out=s[1:])
+                hits = np.flatnonzero(s[1:] > np.maximum.accumulate(s)[:-1])
+                xs = p + step + step * hits
                 u_chunks.append(np.full(xs.size, p, dtype=np.int64))
                 v_chunks.append(xs)
-            if hi > p + 1:
-                stack.append((p + 1, hi))
+            if seg > 1:
+                stack.append((a, b - 1))
 
-    if scalar_u:
-        u_chunks.append(np.asarray(scalar_u, dtype=np.int64))
-        v_chunks.append(np.asarray(scalar_v, dtype=np.int64))
+    u_chunks.append(np.asarray(scalar_u, dtype=np.int64))
+    v_chunks.append(np.asarray(scalar_v, dtype=np.int64))
     return _graph_from_edges(n, np.concatenate(u_chunks), np.concatenate(v_chunks))
-
-
-def degree_sequence(g: VisibilityGraph) -> np.ndarray:
-    """Per-node degrees; sums to 2m."""
-    return g.degrees()

@@ -367,7 +367,7 @@ def test_criterion_6_reproduction(tmp_path, announce, check):
         expect(f"{key} gamma", fit_powerlaw_tail(dist).gamma, ref["gamma"], 0.15)
         expect(f"{key} hurst", estimate_hurst(ts).hurst, ref["hurst"], 0.05)
 
-    curve = small_world_curve(series["us-daily"])
+    curve = small_world_curve(build_fast(series["us-daily"]))
     expect("us-daily L(N) slope", curve.slope, DAILY_SMALL_WORLD["slope"], 0.05)
     expect(
         "us-daily L(N) intercept", curve.intercept, DAILY_SMALL_WORLD["intercept"], 0.15

@@ -193,6 +193,14 @@ class TestIngest:
         assert report["summary"]["n"] == 6
         assert report["summary"]["max"] == 9.0
 
+    def test_overflowing_spread_is_runtime_error(self, write_csv, capsys):
+        # an overflowing slope once left node 0 isolated: k_min 0
+        values = ["1e308", "-1e308", "0", "5", "-1e308", "1e308", "5", "0",
+                  "1e308", "-1e308"]
+        path = write_csv("value\n" + "\n".join(values) + "\n")
+        assert run(["analyze", "--input", path, "--column", "value"]) == 1
+        assert "float64" in capsys.readouterr().err
+
     def test_non_utf8_is_runtime_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"v\n1\n\xff\n")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from tsnet import (
     dfa_fluctuation,
     estimate_hurst,
     generate,
-    hurst,
 )
 
 from oracles import dfa_polyfit
@@ -112,20 +113,21 @@ class TestHurst:
 
     def test_fit_range_subsetting(self):
         y = fixed_walk(1024)
-        r = dfa_fluctuation(y, order=2)
-        hurst(r, fit_range=(16, 128))
+        r = estimate_hurst(y, order=2, fit_range=(16, 128))
         assert 16 <= r.fit_range[0] <= r.fit_range[1] <= 128
 
     def test_constant_series_degenerate(self):
         r = dfa_fluctuation(np.full(256, 3.0), scales=[8, 16], order=1)
         assert np.all(r.fluctuations == 0.0)
         with pytest.raises(DegenerateFit):
-            hurst(r)
+            estimate_hurst(np.full(256, 3.0), scales=[8, 16], order=1)
 
     def test_result_fields_set(self):
         r = estimate_hurst(fixed_walk(512))
         assert r.hurst is not None and r.fit_r2 is not None
         assert r.n_obs == 512
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.hurst = 0.5
 
 
 class TestClassification:

@@ -283,7 +283,7 @@ class TestBitParallelClustering:
 class TestSmallWorld:
     def test_convex_prefixes_are_flat(self):
         y = np.arange(64, dtype=float) ** 2
-        curve = small_world_curve(y, sizes=[4, 8, 16, 32, 64])
+        curve = small_world_curve(build_fast(y), sizes=[4, 8, 16, 32, 64])
         assert np.all(curve.lengths == 1.0)
         assert curve.slope == 0.0 and curve.r2 == 1.0
         assert curve.flat
@@ -291,30 +291,30 @@ class TestSmallWorld:
 
     def test_noise_grows_logarithmically(self, rng):
         curve = small_world_curve(
-            rng.normal(size=1024), sizes=[64, 128, 256, 512, 1024]
+            build_fast(rng.normal(size=1024)), sizes=[64, 128, 256, 512, 1024]
         )
         assert curve.slope > 0.3
         assert curve.r2 > 0.9
         assert not curve.flat
 
     def test_single_size_has_no_fit(self, rng):
-        curve = small_world_curve(rng.normal(size=128), sizes=[128])
+        curve = small_world_curve(build_fast(rng.normal(size=128)), sizes=[128])
         assert curve.slope is None and curve.r2 is None
         with pytest.raises(DegenerateFit):
             small_world_verdict(curve, average_clustering=0.7)
 
     def test_size_validation(self, rng):
-        y = rng.normal(size=100)
+        g = build_fast(rng.normal(size=100))
         with pytest.raises(InvalidParam):
-            small_world_curve(y, sizes=[10, 10, 20])
+            small_world_curve(g, sizes=[10, 10, 20])
         with pytest.raises(InvalidParam):
-            small_world_curve(y, sizes=[1, 50])
+            small_world_curve(g, sizes=[1, 50])
         with pytest.raises(InvalidParam):
-            small_world_curve(y, sizes=[50, 101])
+            small_world_curve(g, sizes=[50, 101])
 
     def test_verdict_thresholds(self):
         y = np.arange(32, dtype=float) ** 2
-        curve = small_world_curve(y, sizes=[8, 16, 32])
+        curve = small_world_curve(build_fast(y), sizes=[8, 16, 32])
         assert small_world_verdict(curve, average_clustering=0.49) is False
         assert small_world_verdict(curve, average_clustering=0.51) is True
 

@@ -9,6 +9,7 @@ from scipy import stats as sstats
 from tsnet import (
     EmptySeries,
     MissingColumn,
+    MomentOverflow,
     ParseError,
     TimeSeries,
     TsnetError,
@@ -261,7 +262,7 @@ class TestSummary:
 
     @given(
         st.lists(
-            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            st.floats(allow_nan=False, allow_infinity=False),
             min_size=1,
             max_size=60,
         )
@@ -269,13 +270,35 @@ class TestSummary:
     # np.mean of three copies rounds one ulp above them, which gave a mean
     # above max, std 1.4e-10 and skewness -2.449.
     @example([699051.032286904] * 3)
+    # Squared deviations overflowed: std inf, kurtosis -13.5.
+    @example([1e200, -1e200, 0.0, 5.0])
+    # Squared deviations fell into the subnormal range and lost digits:
+    # kurtosis -6.0072, below the floor of -6.
+    @example([1e-161, -1e-161, 1e-161, -1e-161])
     def test_summary_bounds_property(self, values):
-        s = summary(TimeSeries(values=np.array(values)))
+        try:
+            ts = TimeSeries(values=np.array(values))
+        except MomentOverflow:
+            return
+        s = summary(ts)
+        n = len(values)
         assert s.min <= s.mean <= s.max
         assert s.min <= s.median <= s.max
-        assert s.std_dev >= 0.0
-        if s.std_dev == 0.0:
+        assert math.isfinite(s.std_dev)
+        if s.min == s.max:
+            assert s.std_dev == 0.0
             assert s.skewness is None and s.kurtosis is None
+        else:
+            assert s.std_dev > 0.0
+        if s.kurtosis is not None:
+            # attained by two equal halves; rounding may undershoot by ulps
+            assert s.kurtosis >= -2 * (n - 1) / (n - 3) - 1e-9
+
+    def test_overflowing_moments_rejected(self):
+        with pytest.raises(MomentOverflow):
+            TimeSeries(values=np.array([1e200, -1e200, 0.0, 5.0]))
+        with pytest.raises(MomentOverflow):
+            from_csv("v\n1e308\n-1e308\n0\n5\n", column="v")
 
     def test_affine_shift_of_moments(self, rng):
         vec = rng.normal(size=64)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
-from tsnet import SeriesTooShort, TimeSeries, build_fast, build_naive, degree_sequence
+from tsnet import MomentOverflow, SeriesTooShort, TimeSeries, build_fast, build_naive
+from tsnet import visibility
 from tsnet.visibility import VisibilityGraph
 
 from oracles import brute_visibility_edges, iid_uniform_visibility_probability
@@ -64,6 +65,11 @@ class TestBothBuilders:
         with pytest.raises(ValueError):
             build(np.array([1.0, np.nan, 2.0]))
 
+    def test_rejects_overflowing_spread(self, build):
+        # the slope from 1e308 to -1e308 overflows
+        with pytest.raises(MomentOverflow):
+            build(np.array([1e308, -1e308, 0.0, 5.0]))
+
     def test_matches_brute_force_random(self, build, rng):
         for _ in range(40):
             n = int(rng.integers(2, 60))
@@ -108,6 +114,53 @@ class TestFastAgainstNaive:
         assert g.m == 29_999
 
 
+def _sweep_series():
+    rng = np.random.default_rng(2015)
+    n = 240
+    return {
+        "float": rng.normal(size=n),
+        "integer ties": rng.integers(0, 4, size=n).astype(float),
+        "x3.7 ties": rng.integers(-3, 4, size=n) * 3.7,
+        "constant": np.full(n, 2.5),
+        "walk": np.cumsum(rng.normal(size=n)),
+    }
+
+
+SWEEP_SERIES = _sweep_series()
+
+
+def assert_same_csr(a, b):
+    assert a.n == b.n and a.m == b.m
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+
+
+class TestFastBuilderForms:
+    @pytest.mark.parametrize("name", ["float", "integer ties", "x3.7 ties", "constant"])
+    def test_sweep_threshold_keeps_csr(self, name, monkeypatch):
+        # 0: vector sweep only; n + 1: scalar sweep only
+        y = SWEEP_SERIES[name]
+        reference = build_fast(y)
+        for threshold in (0, y.size + 1):
+            monkeypatch.setattr(visibility, "_SMALL_SEGMENT", threshold)
+            assert_same_csr(build_fast(y), reference)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_SERIES))
+    def test_prefix_is_graph_of_prefix(self, name):
+        y = SWEEP_SERIES[name]
+        g = build_fast(y)
+        for k in range(2, y.size + 1):
+            assert_same_csr(g.prefix(k), build_fast(y[:k]))
+
+    def test_prefix_bounds(self):
+        g = build_fast(PI_DIGITS)
+        assert g.prefix(1).m == 0
+        assert_same_csr(g.prefix(g.n), g)
+        for k in (0, g.n + 1):
+            with pytest.raises(ValueError):
+                g.prefix(k)
+
+
 class TestGraphInvariants:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -119,7 +172,7 @@ class TestGraphInvariants:
     )
     def test_structure(self, values):
         g = build_fast(np.array(values))
-        deg = degree_sequence(g)
+        deg = g.degrees()
         n = len(values)
         assert g.n == n
         assert deg.sum() == 2 * g.m
