@@ -8,11 +8,6 @@
 Exit codes: 0 success, 1 runtime error (bad input file, network failure,
 unusable data), 2 usage error.  Stage-level degeneracies during analyze
 are recorded inside the report rather than aborting the run.
-
-The environment variable TSNET_THREADS (default 1) sets how many worker
-threads run the passes of the bit-parallel all-pairs path search; the
-distances are summed as exact integers, so results are identical for
-every setting.
 """
 
 from __future__ import annotations
@@ -225,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsnet",
         description="Visibility-graph and scaling analysis of univariate time series.",
-        epilog="TSNET_THREADS sets the worker threads that run the all-pairs "
-        "path search passes (output is identical for any value).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

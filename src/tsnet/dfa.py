@@ -18,7 +18,8 @@ from .errors import DegenerateFit, InvalidParam, ScaleOutOfRange, SeriesTooShort
 from .series import _series_values
 
 _MIN_SCALE = 8
-_DEFAULT_SCALE_COUNT = 20
+_SCALE_COUNT = 20
+_PERSISTENCE_TOL = 1e-9  # exponents this close to 0.5 are uncorrelated
 
 
 @dataclass(frozen=True)
@@ -34,13 +35,13 @@ class DfaResult:
     n_obs: int = 0
 
 
-def default_scales(n: int, order: int = 2, count: int = _DEFAULT_SCALE_COUNT) -> np.ndarray:
-    """Log-spaced integer scales from max(8, order + 2) to n // 4."""
+def default_scales(n: int, order: int = 2) -> np.ndarray:
+    """Up to 20 log-spaced integer scales from max(8, order + 2) to n // 4."""
     lo = max(_MIN_SCALE, order + 2)
     hi = n // 4
     if hi < lo:
         raise SeriesTooShort(f"n={n} leaves no valid scale (need n >= {4 * lo})")
-    return log_spaced_ints(lo, hi, count)
+    return log_spaced_ints(lo, hi, _SCALE_COUNT)
 
 
 def dfa_fluctuation(ts, scales=None, order: int = 2) -> DfaResult:
@@ -77,9 +78,10 @@ def _fluctuation_at_scale(profile: np.ndarray, s: int, order: int) -> float:
         [profile[: k * s].reshape(k, s), profile[n - k * s :].reshape(k, s)]
     )
     # centered, range-normalized abscissa keeps the Vandermonde system
-    # well conditioned even for large scales and high orders
+    # well conditioned even for large scales and high orders; every scale
+    # is validated as s >= order + 2 >= 2, so x[-1] = (s - 1) / 2 > 0
     x = np.arange(s, dtype=np.float64) - (s - 1) / 2.0
-    x /= x[-1] if x[-1] > 0 else 1.0
+    x /= x[-1]
     v = np.vander(x, order + 1, increasing=True)
     a = v.T @ v
     b = v.T @ windows.T
@@ -117,10 +119,10 @@ def estimate_hurst(ts, scales=None, order: int = 2,
     )
 
 
-def classify_persistence(h: float, tol: float = 1e-9) -> str:
+def classify_persistence(h: float) -> str:
     """Label an exponent: anti-persistent (< 0.5), uncorrelated, persistent."""
     if not np.isfinite(h):
         raise InvalidParam(f"non-finite Hurst exponent {h!r}")
-    if abs(h - 0.5) <= tol:
+    if abs(h - 0.5) <= _PERSISTENCE_TOL:
         return "uncorrelated"
     return "anti-persistent" if h < 0.5 else "persistent"

@@ -99,8 +99,6 @@ def _fgn(n: int, h: float, rng: np.random.Generator) -> np.ndarray:
     eigenvalue roots and transforming back yields a draw with the exact
     target covariance (not an approximation).
     """
-    if n == 1:
-        return rng.standard_normal(1)
     k = np.arange(n + 1, dtype=np.float64)
     two_h = 2.0 * h
     rho = 0.5 * (

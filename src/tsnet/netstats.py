@@ -8,8 +8,6 @@ growing-window small-world curve L(N) vs ln N.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +25,11 @@ from .visibility import VisibilityGraph
 # Slope magnitudes below this are reported as flat (complete-graph regime,
 # where L is constant and the log fit carries no information).
 FLAT_SLOPE_EPS = 1e-12
+
+_PREFIX_COUNT = 30
+_PREFIX_START = 64
+_VERDICT_R2_MIN = 0.95
+_VERDICT_CLUSTERING_MIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -201,19 +204,6 @@ def assortativity(g: VisibilityGraph) -> float:
     return min(1.0, max(-1.0, r))
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TSNET_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParam(f"TSNET_THREADS={raw!r} is not an integer") from None
-    if value < 1:
-        raise InvalidParam("TSNET_THREADS must be >= 1")
-    return value
-
-
 def _pass_words(n: int, m: int) -> int:
     """64-bit words per bitset row, so 64x this many nodes go per pass.
 
@@ -232,8 +222,7 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
     Yoshida 2013; Then et al. 2014): each pass carries up to 512 sources
     as one bit each in a ``(n, words)`` uint64 array and expands all of
     their frontiers at once, one level per step.  Distances are summed as
-    Python integers, so the result is identical at any pass width and
-    thread count; ``TSNET_THREADS`` spreads the passes over workers.
+    Python integers, so the result is identical at any pass width.
     """
     n = g.n
     if n < 2:
@@ -272,23 +261,17 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
             raise DisconnectedGraph("graph has unreachable node pairs")
         return total
 
-    starts = range(0, n, width)
-    threads = _thread_count()
-    if threads == 1:
-        total = sum(pass_sum(s) for s in starts)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            total = sum(pool.map(pass_sum, starts))
+    total = sum(pass_sum(s) for s in range(0, n, width))
     # total counts ordered pairs; each unordered pair appears twice
     return total / (n * (n - 1))
 
 
-def default_prefix_sizes(n: int, count: int = 30, start: int = 64) -> list[int]:
-    """Log-spaced prefix lengths from min(start, n) up to n."""
+def default_prefix_sizes(n: int) -> list[int]:
+    """Up to 30 log-spaced prefix lengths from min(64, n) up to n."""
     if n < 2:
         raise InvalidParam("need at least 2 observations")
-    lo = max(2, min(start, n))
-    return [int(v) for v in log_spaced_ints(lo, n, count)]
+    lo = max(2, min(_PREFIX_START, n))
+    return [int(v) for v in log_spaced_ints(lo, n, _PREFIX_COUNT)]
 
 
 def small_world_curve(g: VisibilityGraph,
@@ -319,14 +302,9 @@ def small_world_curve(g: VisibilityGraph,
     )
 
 
-def small_world_verdict(
-    curve: SmallWorldCurve,
-    average_clustering: float,
-    *,
-    r2_min: float = 0.95,
-    clustering_min: float = 0.5,
-) -> bool:
-    """True when L grows logarithmically (good fit) and clustering is high."""
+def small_world_verdict(curve: SmallWorldCurve, average_clustering: float) -> bool:
+    """True when L grows logarithmically (r2 >= 0.95) and clustering >= 0.5."""
     if curve.r2 is None:
         raise DegenerateFit("small-world curve has no fit (fewer than 2 sizes)")
-    return bool(curve.r2 >= r2_min and average_clustering >= clustering_min)
+    return bool(curve.r2 >= _VERDICT_R2_MIN
+                and average_clustering >= _VERDICT_CLUSTERING_MIN)

@@ -2,9 +2,9 @@
 
 Reports are plain dicts rendered through :func:`canonical_json`, which
 sorts keys, rounds floats to six decimals, and maps non-finite values
-to null.  Two runs over the same input produce byte-identical output
-regardless of thread count, because every statistic is either exact
-integer arithmetic or a fixed-order float reduction.
+to null.  Two runs over the same input produce byte-identical output,
+because every statistic is either exact integer arithmetic or a
+fixed-order float reduction.
 """
 
 from __future__ import annotations

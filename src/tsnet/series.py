@@ -191,7 +191,7 @@ def _read_rows(reader, column, date_column) -> tuple[list[float], list[str]]:
             raise ParseError(
                 f"row {line_no}: cannot parse {cell!r} as a real number", row=line_no
             ) from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ParseError(f"row {line_no}: non-finite value {cell!r}", row=line_no)
         values.append(value)
         if date_idx is not None:
@@ -207,7 +207,7 @@ def _read_rows(reader, column, date_column) -> tuple[list[float], list[str]]:
 
 def _finite_real(cell: str) -> bool:
     try:
-        return bool(np.isfinite(float(cell)))
+        return math.isfinite(float(cell))
     except ValueError:
         return False
 

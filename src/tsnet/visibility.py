@@ -81,11 +81,6 @@ class VisibilityGraph:
         keep = self.indices > rows
         return np.column_stack([rows[keep], self.indices[keep]])
 
-    def edge_list_text(self) -> str:
-        """One ``i j`` pair per line, i < j, lexicographic order."""
-        edges = self.edge_array()
-        return "".join(f"{i} {j}\n" for i, j in edges)
-
     def edge_set(self) -> set[tuple[int, int]]:
         return {(int(i), int(j)) for i, j in self.edge_array()}
 

@@ -209,11 +209,9 @@ class TestIngest:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs_and_threads(self, fgn_csv, tmp_path,
-                                                    monkeypatch):
+    def test_byte_identical_across_runs(self, fgn_csv, tmp_path):
         outputs = []
-        for i, threads in enumerate(("1", "4")):
-            monkeypatch.setenv("TSNET_THREADS", threads)
+        for i in range(2):
             path = tmp_path / f"r{i}.json"
             assert run(["analyze", "--input", fgn_csv, "--column", "value",
                         "--small-world", "--prefix-sizes", "64,256,600",

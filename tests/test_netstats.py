@@ -131,23 +131,14 @@ class TestPaths:
         with pytest.raises(DisconnectedGraph):
             all_pairs_average_path(g)
 
-    def test_thread_env_does_not_change_value(self, rng, monkeypatch):
-        # 1600 nodes make at least 4 passes of up to 512 sources, so three
-        # workers really run passes concurrently
+    def test_stale_thread_env_ignored(self, rng, monkeypatch):
+        # the search reads no settings from the environment, so a stale
+        # TSNET_THREADS neither fails nor changes the value
         g = build_fast(rng.normal(size=1600))
-        monkeypatch.setenv("TSNET_THREADS", "1")
-        l1 = all_pairs_average_path(g)
-        monkeypatch.setenv("TSNET_THREADS", "3")
-        l3 = all_pairs_average_path(g)
-        assert l1 == l3  # bitwise, not just approximately
-
-    def test_bad_thread_env(self, path3, monkeypatch):
+        monkeypatch.delenv("TSNET_THREADS", raising=False)
+        expected = all_pairs_average_path(g)
         monkeypatch.setenv("TSNET_THREADS", "zero")
-        with pytest.raises(InvalidParam):
-            all_pairs_average_path(path3)
-        monkeypatch.setenv("TSNET_THREADS", "0")
-        with pytest.raises(InvalidParam):
-            all_pairs_average_path(path3)
+        assert all_pairs_average_path(g) == expected  # bitwise
 
 
 def _path_graph(n):

