@@ -20,6 +20,7 @@ from .errors import (
     MomentOverflow,
     SeriesTooShort,
     TsnetError,
+    Unavailable,
     UnrecognizedFormat,
     ZeroDegreeVariance,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "InvalidParam",
     "NetworkError",
     "UnrecognizedFormat",
+    "Unavailable",
     "TimeSeries",
     "SummaryStats",
     "from_csv",

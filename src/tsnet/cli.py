@@ -24,7 +24,7 @@ from .fetch import DATASETS, fetch_dataset
 from .generators import KINDS, GeneratorSpec, generate
 from .dfa import dfa_fluctuation
 from .netstats import degree_distribution, small_world_curve
-from .report import build_report, canonical_json
+from .report import build_report, canonical_json, run_stage
 from .series import TimeSeries, from_csv
 from .visibility import build_fast
 
@@ -145,41 +145,30 @@ def _cmd_plotdata(args) -> int:
     ts = _load_series(args.input, args.column, args.date_end)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    def skip(name: str, exc: TsnetError) -> None:
-        print(f"tsnet: skipping {name}: {exc}", file=sys.stderr)
-
-    try:
-        result = dfa_fluctuation(ts, scales=args.dfa_scales, order=args.dfa_order)
-        rows = "".join(
-            f"{int(n)},{float(f)!r}\n"
-            for n, f in zip(result.scales, result.fluctuations)
+    fluct = run_stage(
+        lambda: dfa_fluctuation(ts, scales=args.dfa_scales, order=args.dfa_order)
+    )
+    graph = run_stage(build_fast, ts)
+    dist = run_stage(degree_distribution, graph)
+    outputs = [
+        ("dfa_fluctuations.csv", "n,F", fluct, lambda r: (r.scales, r.fluctuations)),
+        # a failed graph skips its pdf with its own error, not Unavailable
+        ("degree_pdf.csv", "k,p", graph if isinstance(graph, TsnetError) else dist,
+         lambda d: (d.support, d.pdf)),
+    ]
+    if args.small_world:
+        curve = run_stage(
+            lambda g: small_world_curve(g, sizes=args.prefix_sizes), graph
         )
-        (outdir / "dfa_fluctuations.csv").write_text("n,F\n" + rows, newline="\n")
-    except TsnetError as exc:
-        skip("dfa_fluctuations.csv", exc)
-
-    graph = None
-    try:
-        graph = build_fast(ts)
-        dist = degree_distribution(graph)
-        rows = "".join(
-            f"{int(k)},{float(p)!r}\n" for k, p in zip(dist.support, dist.pdf)
+        outputs.append(
+            ("smallworld_curve.csv", "N,L", curve, lambda c: (c.sizes, c.lengths))
         )
-        (outdir / "degree_pdf.csv").write_text("k,p\n" + rows, newline="\n")
-    except TsnetError as exc:
-        skip("degree_pdf.csv", exc)
-
-    if args.small_world and graph is not None:
-        try:
-            curve = small_world_curve(graph, sizes=args.prefix_sizes)
-            rows = "".join(
-                f"{int(n)},{float(length)!r}\n"
-                for n, length in zip(curve.sizes, curve.lengths)
-            )
-            (outdir / "smallworld_curve.csv").write_text("N,L\n" + rows, newline="\n")
-        except TsnetError as exc:
-            skip("smallworld_curve.csv", exc)
+    for name, header, result, columns in outputs:
+        if isinstance(result, TsnetError):
+            print(f"tsnet: skipping {name}: {result}", file=sys.stderr)
+            continue
+        rows = "".join(f"{int(x)},{float(y)!r}\n" for x, y in zip(*columns(result)))
+        (outdir / name).write_text(f"{header}\n{rows}", newline="\n")
     return 0
 
 

@@ -90,20 +90,14 @@ def _fluctuation_at_scale(profile: np.ndarray, s: int, order: int) -> float:
     return float(np.sqrt(np.mean(resid * resid)))
 
 
-def estimate_hurst(ts, scales=None, order: int = 2,
-                   fit_range: tuple[int, int] | None = None) -> DfaResult:
+def estimate_hurst(ts, scales=None, order: int = 2) -> DfaResult:
     """Fluctuation function and its Hurst fit, as one new result.
 
-    The slope of ln F(n) vs ln n is fitted over the scales in
-    ``fit_range`` (default: all) with F(n) > 0; fewer than two such
-    scales is a degenerate fit.
+    The slope of ln F(n) vs ln n is fitted over the scales with
+    F(n) > 0; fewer than two such scales is a degenerate fit.
     """
     result = dfa_fluctuation(ts, scales=scales, order=order)
     scales, flucts = result.scales, result.fluctuations
-    if fit_range is not None:
-        lo, hi = fit_range
-        keep = (scales >= lo) & (scales <= hi)
-        scales, flucts = scales[keep], flucts[keep]
     positive = flucts > 0.0
     scales, flucts = scales[positive], flucts[positive]
     if scales.size < 2:

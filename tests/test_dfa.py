@@ -113,7 +113,8 @@ class TestHurst:
 
     def test_fit_range_subsetting(self):
         y = fixed_walk(1024)
-        r = estimate_hurst(y, order=2, fit_range=(16, 128))
+        grid = default_scales(1024)
+        r = estimate_hurst(y, scales=grid[(grid >= 16) & (grid <= 128)], order=2)
         assert 16 <= r.fit_range[0] <= r.fit_range[1] <= 128
 
     def test_constant_series_degenerate(self):
