@@ -13,12 +13,11 @@ are recorded inside the report rather than aborting the run.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import bisect
 import sys
 from pathlib import Path
 
-from .errors import EmptySeries, InvalidParam, TsnetError
+from .errors import EmptySeries, TsnetError
 from ._fit import log_spaced_ints
 from .fetch import DATASETS, fetch_dataset
 from .generators import KINDS, GeneratorSpec, generate
@@ -58,31 +57,18 @@ def _int_list(text: str) -> list[int]:
 def _load_series(path: str, column: str, date_end: str | None) -> TimeSeries:
     """Read the value column; with ``date_end``, cut it at that date.
 
-    The date column is the first header that contains "date", ignoring
-    case, and is not the value column.
+    The date column follows :func:`from_csv`'s rule for the name "date".
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
     col: str | int = int(column) if column.lstrip("-").isdigit() else column
-    date_col = None
-    if date_end:
-        header_line = data.split(b"\n", 1)[0].decode("utf-8-sig", errors="replace")
-        header = [h.strip() for h in next(csv.reader(io.StringIO(header_line)), [])]
-        dated = (i for i, h in enumerate(header) if "date" in h.lower())
-        date_col = next((i for i in dated if col not in (i, header[i])), None)
+    data = Path(path).read_bytes()
+    date_col = "date" if date_end else None
     ts = from_csv(data, column=col, date_column=date_col, label=Path(path).name)
-    return _truncate_to_date(ts, date_end) if date_end else ts
-
-
-def _truncate_to_date(ts: TimeSeries, date_end: str) -> TimeSeries:
-    if ts.timestamps is None:
-        raise InvalidParam("--date-end requires a date column in the input")
-    keep = 0
-    for stamp in ts.timestamps:
-        if stamp[: len(date_end)] <= date_end:
-            keep += 1
-        else:
-            break
+    if not date_end:
+        return ts
+    # stamps increase strictly, so their prefixes never decrease
+    keep = bisect.bisect_right(
+        ts.timestamps, date_end, key=lambda s: s[: len(date_end)]
+    )
     if keep == 0:
         raise EmptySeries(f"no rows on or before {date_end}")
     return ts.prefix(keep)
@@ -90,12 +76,11 @@ def _truncate_to_date(ts: TimeSeries, date_end: str) -> TimeSeries:
 
 def _cmd_analyze(args) -> int:
     ts = _load_series(args.input, args.column, args.date_end)
-    tail_range = (args.tail_kmin, None) if args.tail_kmin is not None else None
     report = build_report(
         ts,
         dfa_order=args.dfa_order,
         dfa_scales=args.dfa_scales,
-        tail_k_range=tail_range,
+        tail_kmin=args.tail_kmin,
         small_world=args.small_world,
         prefix_sizes=args.prefix_sizes,
         source={"path": args.input, "column": args.column},
@@ -184,7 +169,8 @@ def _add_series_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="YYYY-MM[-DD]",
         help="keep only rows dated on or before this (prefix match allowed); "
-        "dates come from the first column whose header contains 'date'",
+        "dates come from the column named 'date' (any case), else the first "
+        "whose header contains 'date'",
     )
     parser.add_argument(
         "--dfa-order", type=int, default=2, help="detrending polynomial order"
@@ -264,10 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TsnetError as exc:
-        print(f"tsnet: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TsnetError, OSError) as exc:
         print(f"tsnet: error: {exc}", file=sys.stderr)
         return 1
 

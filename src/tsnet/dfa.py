@@ -32,7 +32,6 @@ class DfaResult:
     hurst: float | None = None
     fit_r2: float | None = None
     fit_range: tuple[int, int] | None = None
-    n_obs: int = 0
 
 
 def default_scales(n: int, order: int = 2) -> np.ndarray:
@@ -65,9 +64,7 @@ def dfa_fluctuation(ts, scales=None, order: int = 2) -> DfaResult:
     flucts = np.empty(scale_arr.size, dtype=np.float64)
     for idx, s in enumerate(scale_arr):
         flucts[idx] = _fluctuation_at_scale(profile, int(s), order)
-    return DfaResult(
-        scales=scale_arr, fluctuations=flucts, order=order, n_obs=n
-    )
+    return DfaResult(scales=scale_arr, fluctuations=flucts, order=order)
 
 
 def _fluctuation_at_scale(profile: np.ndarray, s: int, order: int) -> float:

@@ -60,12 +60,10 @@ DATASETS: dict[str, _Dataset] = {
 
 @dataclass(frozen=True)
 class FetchResult:
-    dataset: str
     csv_path: Path
     manifest_path: Path
     sha256: str
     rows: int
-    source_url: str
     vintage_matches: bool
 
 
@@ -108,12 +106,10 @@ def fetch_dataset(
     manifest_path = out_dir / f"{name}.manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return FetchResult(
-        dataset=name,
         csv_path=csv_path,
         manifest_path=manifest_path,
         sha256=manifest["sha256"],
         rows=len(out_rows),
-        source_url=source_url,
         vintage_matches=manifest["vintage_matches"],
     )
 
@@ -128,20 +124,22 @@ def _download(url: str, timeout: float) -> bytes:
 
 
 def _parse_table(raw: bytes) -> tuple[list[str], list[list[str]]]:
-    """Return (header, rows) from CSV bytes or an xlsx workbook."""
+    """(header, rows) of CSV bytes or an xlsx workbook, blank rows dropped."""
     if raw.startswith(_XLSX_MAGIC):
-        return _parse_xlsx(raw)
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        text = raw.decode("latin-1")
-    rows = [r for r in csv.reader(io.StringIO(text)) if any(c.strip() for c in r)]
+        rows = _xlsx_rows(raw)
+    else:
+        try:
+            text = raw.decode("utf-8-sig")
+        except UnicodeDecodeError:
+            text = raw.decode("latin-1")
+        rows = csv.reader(io.StringIO(text))
+    rows = [r for r in rows if any(c.strip() for c in r)]
     if len(rows) < 2:
         raise UnrecognizedFormat("file has no data rows")
     return rows[0], rows[1:]
 
 
-def _parse_xlsx(raw: bytes) -> tuple[list[str], list[list[str]]]:
+def _xlsx_rows(raw: bytes) -> list[list[str]]:
     try:
         from openpyxl import load_workbook
     except ImportError as exc:
@@ -156,10 +154,7 @@ def _parse_xlsx(raw: bytes) -> tuple[list[str], list[list[str]]]:
         for row in ws.iter_rows(values_only=True)
     ]
     wb.close()
-    rows = [r for r in rows if any(c.strip() for c in r)]
-    if len(rows) < 2:
-        raise UnrecognizedFormat("workbook has no data rows")
-    return rows[0], rows[1:]
+    return rows
 
 
 def _find_column(header: list[str], token: str) -> int | None:

@@ -38,7 +38,6 @@ class DegreeDistribution:
 
     support: np.ndarray
     pdf: np.ndarray
-    n_nodes: int
 
     def __post_init__(self):
         if self.support.size != self.pdf.size or self.support.size == 0:
@@ -97,26 +96,23 @@ def degree_distribution(g: VisibilityGraph) -> DegreeDistribution:
     counts = np.bincount(g.degrees())
     support = np.flatnonzero(counts)
     pdf = counts[support] / float(g.n)
-    return DegreeDistribution(support=support.astype(np.int64), pdf=pdf, n_nodes=g.n)
+    return DegreeDistribution(support=support.astype(np.int64), pdf=pdf)
 
 
 def fit_powerlaw_tail(
-    dist: DegreeDistribution,
-    k_range: tuple[int | None, int | None] | None = None,
+    dist: DegreeDistribution, k_min: int | None = None
 ) -> DegreeTailFit:
-    """Fit ln p(k) = -gamma ln k + c over [k_lo, k_hi] on the raw pdf.
+    """Fit ln p(k) = -gamma ln k + c over [k_min, k_max] on the raw pdf.
 
-    The default range starts at ceil(mean degree), where visibility-graph
-    degree pdfs typically enter their power-law regime, and runs to the
-    maximum degree.  Either bound of ``k_range`` may be None to keep its
-    default.  Requires at least three distinct degrees in range.
+    ``k_min`` defaults to ceil(mean degree), where visibility-graph degree
+    pdfs typically enter their power-law regime; the range always runs to
+    the maximum degree.  Requires at least three distinct degrees in range.
     """
-    lo_given, hi_given = k_range if k_range is not None else (None, None)
-    k_lo = int(lo_given) if lo_given is not None else int(math.ceil(dist.mean_degree()))
-    k_hi = int(hi_given) if hi_given is not None else dist.k_max
+    k_lo = int(k_min) if k_min is not None else int(math.ceil(dist.mean_degree()))
+    k_hi = dist.k_max
     if k_lo < 1 or k_hi < k_lo:
         raise InvalidParam(f"bad tail range [{k_lo}, {k_hi}]")
-    sel = (dist.support >= k_lo) & (dist.support <= k_hi)
+    sel = dist.support >= k_lo
     ks = dist.support[sel]
     if ks.size < 3:
         raise InsufficientTailPoints(

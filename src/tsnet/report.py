@@ -103,7 +103,7 @@ def build_report(
     *,
     dfa_order: int = 2,
     dfa_scales=None,
-    tail_k_range: tuple[int, int] | None = None,
+    tail_kmin: int | None = None,
     small_world: bool = False,
     prefix_sizes: list[int] | None = None,
     source: dict | None = None,
@@ -119,7 +119,7 @@ def build_report(
     hurst = run_stage(lambda: estimate_hurst(ts, scales=dfa_scales, order=dfa_order))
     graph = run_stage(build_fast, ts)
     dist = run_stage(degree_distribution, graph)
-    tail = run_stage(lambda d: fit_powerlaw_tail(d, k_range=tail_k_range), dist)
+    tail = run_stage(lambda d: fit_powerlaw_tail(d, k_min=tail_kmin), dist)
     clust = run_stage(clustering, graph)
     assort = run_stage(assortativity, graph)
     curve = (

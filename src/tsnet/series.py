@@ -134,7 +134,9 @@ def from_csv(
     carrying the 1-based file line number; nothing is skipped silently.
     So do bytes that are not UTF-8 and malformed CSV.  ``date_column``
     optionally attaches a timestamp column (informational), whose
-    entries must increase strictly.
+    entries must increase strictly.  A named ``date_column`` picks the
+    header equal to the name and otherwise the first header that
+    contains it, both ignoring case; it is never the value column.
     """
     raw = data if isinstance(data, (bytes, str)) else data.read()
     if isinstance(raw, bytes):
@@ -170,11 +172,17 @@ def _read_rows(reader, column, date_column) -> tuple[list[float], list[str]]:
     headerless = bool(first) and all(_finite_real(cell) for cell in first)
     header = None if headerless else first
     col_idx = _resolve_column(header, len(first), column)
-    date_idx = (
-        _resolve_column(header, len(first), date_column)
-        if date_column is not None
-        else None
-    )
+    date_idx = None
+    if isinstance(date_column, str) and header is not None:
+        # Exact name (any case) wins over a header that merely contains
+        # it; value columns keep exact lookup, so this rule lives here.
+        key = date_column.lower()
+        dated = [i for i, h in enumerate(header) if key in h.lower() and i != col_idx]
+        if not dated:
+            raise MissingColumn(f"column {date_column!r} not in header {header}")
+        date_idx = min(dated, key=lambda i: header[i].lower() != key)
+    elif date_column is not None:
+        date_idx = _resolve_column(header, len(first), date_column)
 
     values: list[float] = []
     stamps: list[str] = []

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from tsnet.cli import main
+from tsnet.cli import build_parser, main
 
 
 def run(argv):
@@ -129,9 +129,10 @@ class TestAnalyze:
         assert exc_info.value.code == 2
 
     def test_bad_scale_grid_exit_2(self, fgn_csv):
-        with pytest.raises(SystemExit) as exc_info:
-            run(["analyze", "--input", fgn_csv, "--dfa-scales", "8-64-6"])
-        assert exc_info.value.code == 2
+        for grid in ("8-64-6", "a:b:c", "1:64:6", "64:8:6"):
+            with pytest.raises(SystemExit) as exc_info:
+                run(["analyze", "--input", fgn_csv, "--dfa-scales", grid])
+            assert exc_info.value.code == 2
 
     def test_bad_prefix_sizes_value_exit_2(self, fgn_csv):
         with pytest.raises(SystemExit) as exc_info:
@@ -186,6 +187,18 @@ class TestDateHandling:
         assert run(["analyze", "--input", path, "--column", "update_count",
                     "--date-end", "2018-03"]) == 0
         assert json.loads(capsys.readouterr().out)["summary"]["n"] == 3
+
+    def test_exact_date_header_wins(self, write_csv, capsys):
+        # "update" contains "date" and comes first, but is out of order
+        rows = "\n".join(
+            f"2019-{13 - m:02d},2018-{m:02d},{float(m)!r}" for m in range(1, 13)
+        )
+        path = write_csv("update,date,epu\n" + rows + "\n")
+        assert run(["analyze", "--input", path, "--column", "epu",
+                    "--date-end", "2018-04"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["n"] == 4
+        assert report["summary"]["max"] == 4.0
 
     def test_unsorted_dates_are_runtime_error(self, write_csv, capsys):
         path = write_csv("date,epu\n2018-02,1\n2018-01,2\n2018-03,3\n")
@@ -289,6 +302,15 @@ class TestPlotdata:
 
 
 class TestEntryPoint:
+    def test_readme_commands_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = readme.read_text().split("```")[1::2]
+        commands = [line.split()[1:] for block in blocks
+                    for line in block.splitlines() if line.startswith("tsnet ")]
+        assert len(commands) >= 4
+        for argv in commands:
+            assert callable(build_parser().parse_args(argv).func)
+
     def test_version_module_consistency(self):
         import tsnet
 

@@ -87,9 +87,7 @@ class TestDegreeDistribution:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DegreeDistribution(
-                support=np.array([1, 2]), pdf=np.array([1.0]), n_nodes=3
-            )
+            DegreeDistribution(support=np.array([1, 2]), pdf=np.array([1.0]))
 
 
 class TestTailFit:
@@ -97,8 +95,8 @@ class TestTailFit:
         ks = np.arange(2, 30)
         pdf = ks.astype(float) ** -2.5
         pdf /= pdf.sum()
-        dist = DegreeDistribution(support=ks, pdf=pdf, n_nodes=10_000)
-        fit = fit_powerlaw_tail(dist, k_range=(2, 29))
+        dist = DegreeDistribution(support=ks, pdf=pdf)
+        fit = fit_powerlaw_tail(dist, k_min=2)
         assert fit.gamma == pytest.approx(2.5, abs=1e-10)
         assert fit.r2 == pytest.approx(1.0, abs=1e-10)
         assert fit.n_points == 28
@@ -113,7 +111,7 @@ class TestTailFit:
     def test_partial_range(self, rng):
         g = build_fast(rng.normal(size=2000))
         dist = degree_distribution(g)
-        fit = fit_powerlaw_tail(dist, k_range=(3, None))
+        fit = fit_powerlaw_tail(dist, k_min=3)
         assert fit.k_range == (3, dist.k_max)
 
     def test_insufficient_points(self, k4):
@@ -122,7 +120,7 @@ class TestTailFit:
 
     def test_bad_range(self, k4):
         with pytest.raises(InvalidParam):
-            fit_powerlaw_tail(degree_distribution(k4), k_range=(5, 2))
+            fit_powerlaw_tail(degree_distribution(k4), k_min=5)
 
 
 class TestPaths:

@@ -115,6 +115,20 @@ class TestFromCsv:
             from_csv("v\n1\nx\n3\n", column="v")
         assert exc_info.value.row == 3  # header is row 1
 
+    def test_short_row_reports_file_row(self):
+        with pytest.raises(ParseError, match="no cell") as exc_info:
+            from_csv("a,v\n1,2\n3\n4,5\n", column="v")
+        assert exc_info.value.row == 3
+
+    def test_named_date_column_rule(self):
+        # a header that contains the name serves; one equal to it (any case) wins
+        for text in ("id,Obs_Date,v\n1,2020-01,5\n2,2020-02,6\n",
+                     "update,DATE,v\n2020-02,2020-01,5\n2020-01,2020-02,6\n"):
+            ts = from_csv(text, column="v", date_column="date")
+            assert ts.timestamps == ("2020-01", "2020-02")
+        with pytest.raises(MissingColumn):  # never the value column
+            from_csv("date,v\n1,2\n", column="date", date_column="date")
+
     def test_row_counts_file_lines_across_quoted_newline(self):
         with pytest.raises(ParseError) as exc_info:
             from_csv('v\n"1\n"\nx\n', column="v")
