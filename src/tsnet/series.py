@@ -270,10 +270,16 @@ def summary(ts: TimeSeries) -> SummaryStats:
                 - 3 * (n - 1) ** 2 / ((n - 2) * (n - 3))
             )
 
+    with np.errstate(over="ignore"):
+        median = float(np.median(x))
+    if math.isinf(median):
+        # The two middle values summed past float64; halving is exact here.
+        median = float(np.median(x / 2)) * 2
+
     return SummaryStats(
         n=n,
         mean=mean,
-        median=float(np.median(x)),
+        median=median,
         min=float(np.min(x)),
         max=float(np.max(x)),
         std_dev=std,
