@@ -30,6 +30,8 @@ _PREFIX_COUNT = 30
 _PREFIX_START = 64
 _VERDICT_R2_MIN = 0.95
 _VERDICT_CLUSTERING_MIN = 0.5
+# Neighbors ORed per gathered row in the all-pairs search.
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -204,9 +206,12 @@ def _pass_words(n: int, m: int) -> int:
     """64-bit words per bitset row, so 64x this many nodes go per pass.
 
     Sets the sources per BFS pass and the nodes per clustering chunk.
-    The per-level gather slab is ``2m * words * 8`` bytes; capping it at
-    ``256 * n * 8`` bytes keeps peak memory flat on dense graphs, while
-    sparse graphs get the widest pass (8 words, 512 sources).
+    The rule keeps ``m * words`` at most ``128 * n`` (or one word).  A
+    clustering chunk gathers two rows per edge, and an all-pairs level
+    gathers into two buffers of one row per ``_CHUNK``-neighbor chunk (at
+    most ``2m / _CHUNK + n`` rows), each row ``words * 8`` bytes.  So peak
+    memory stays flat on dense graphs, while sparse graphs get the widest
+    pass (8 words, 512 sources).
     """
     return max(1, min(128 * n // m, 8, -(-n // 64)))
 
@@ -219,40 +224,68 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
     as one bit each in a ``(n, words)`` uint64 array and expands all of
     their frontiers at once, one level per step.  Distances are summed as
     Python integers, so the result is identical at any pass width.
+
+    A level ORs each node's neighbor rows together.  Neighbor lists are
+    padded to a multiple of ``_CHUNK`` by repeating their last entry,
+    which is exact because OR is idempotent, and stored slot-major: slot
+    ``b`` lists entry ``b`` of every chunk, so ``_CHUNK`` gathers OR whole
+    chunks at once.  Nodes are relabeled, stably, by chunk count, so the
+    one-chunk nodes form a leading block that takes its chunk as is and
+    only the rest go through ``reduceat``.  Source ``s`` still owns its
+    own bit, so the sum does not depend on the labels.
     """
     n = g.n
     if n < 2:
         raise InvalidParam("average path length needs at least 2 nodes")
-    # Also required by the kernel: reduceat over an empty neighbor list
-    # yields the next row's value instead of nothing, and fails on the last.
-    if np.any(g.degrees() == 0):
+    deg = g.degrees()
+    # Also required by the kernel: a node without neighbors has no chunk.
+    if np.any(deg == 0):
         raise DisconnectedGraph("graph has an isolated node")
-    row_starts, indices = g.indptr[:-1], g.indices
     width = 64 * _pass_words(n, g.m)
+    chunks = -(-deg // _CHUNK)
+    order = np.argsort(chunks, kind="stable")  # new label -> node
+    label = np.argsort(order)  # node -> new label
+    chunks, deg = chunks[order], deg[order]
+    first = np.concatenate(([0], np.cumsum(chunks)))  # first chunk per row
+    row = np.repeat(np.arange(n), chunks * _CHUNK)
+    entry = np.minimum(np.arange(row.size) - first[row] * _CHUNK, deg[row] - 1)
+    padded = g.indices[g.indptr[order][row] + entry]
+    slots = np.ascontiguousarray(label[padded].reshape(-1, _CHUNK).T)
+    single = int(np.searchsorted(chunks, 2))  # rows with one chunk
+    multi_starts = first[single:-1] - single
 
     def pass_sum(start: int) -> int:
         k = min(width, n - start)
+        words = -(-k // 64)
         bit = np.arange(k)  # source start + b owns bit b
-        seen = np.zeros((n, -(-k // 64)), dtype=np.uint64)
-        seen[start + bit, bit // 64] = np.left_shift(
+        frontier = np.zeros((n, words), dtype=np.uint64)
+        frontier[label[start + bit], bit // 64] = np.left_shift(
             np.uint64(1), (bit % 64).astype(np.uint64)
         )
-        frontier = seen.copy()
+        unseen = ~frontier
+        gathered = np.empty((slots.shape[1], words), dtype=np.uint64)
+        scratch = np.empty_like(gathered)
         total = 0
         reached = k
         level = 0
         while True:
             level += 1
-            frontier = np.bitwise_or.reduceat(
-                np.take(frontier, indices, axis=0), row_starts, axis=0
+            # mode="clip" lets take write into out without a buffer copy
+            np.take(frontier, slots[0], axis=0, out=gathered, mode="clip")
+            for slot in slots[1:]:
+                np.take(frontier, slot, axis=0, out=scratch, mode="clip")
+                gathered |= scratch
+            frontier[:single] = gathered[:single]
+            np.bitwise_or.reduceat(
+                gathered[single:], multi_starts, axis=0, out=frontier[single:]
             )
-            frontier &= ~seen
+            frontier &= unseen
             count = int(np.bitwise_count(frontier).sum())
             if count == 0:
                 break
             total += level * count
             reached += count
-            seen |= frontier
+            unseen ^= frontier
         if reached < k * n:
             raise DisconnectedGraph("graph has unreachable node pairs")
         return total

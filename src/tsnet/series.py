@@ -136,7 +136,8 @@ def from_csv(
     optionally attaches a timestamp column (informational), whose
     entries must increase strictly.  A named ``date_column`` picks the
     header equal to the name and otherwise the first header that
-    contains it, both ignoring case; it is never the value column.
+    contains it, both ignoring case; it is never the value column, and a
+    headerless file has none.
     """
     raw = data if isinstance(data, (bytes, str)) else data.read()
     if isinstance(raw, bytes):
@@ -173,7 +174,12 @@ def _read_rows(reader, column, date_column) -> tuple[list[float], list[str]]:
     header = None if headerless else first
     col_idx = _resolve_column(header, len(first), column)
     date_idx = None
-    if isinstance(date_column, str) and header is not None:
+    if isinstance(date_column, str):
+        if header is None:
+            raise MissingColumn(
+                f"date column {date_column!r} named, but row 1 is numeric, so "
+                "the file has no header and no date column"
+            )
         # Exact name (any case) wins over a header that merely contains
         # it; value columns keep exact lookup, so this rule lives here.
         key = date_column.lower()

@@ -200,6 +200,14 @@ class TestDateHandling:
         assert report["summary"]["n"] == 4
         assert report["summary"]["max"] == 4.0
 
+    def test_date_end_on_headerless_file(self, write_csv, capsys):
+        path = write_csv("1\n2\n3\n4\n5\n")
+        assert run(["analyze", "--input", path, "--column", "0",
+                    "--date-end", "2018"]) == 1
+        err = capsys.readouterr().err
+        assert "no header and no date column" in err
+        assert "zero-based index" not in err
+
     def test_unsorted_dates_are_runtime_error(self, write_csv, capsys):
         path = write_csv("date,epu\n2018-02,1\n2018-01,2\n2018-03,3\n")
         assert run(["analyze", "--input", path, "--column", "epu",

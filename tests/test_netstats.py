@@ -159,6 +159,12 @@ def _spike_graph(n):
     return build_fast(y)
 
 
+def _walk_graph(n, rng):
+    # a random walk's visibility graph has hubs with more neighbors than a
+    # 64-bit word holds
+    return build_fast(np.cumsum(rng.normal(size=n)))
+
+
 class TestBitParallelBfs:
     """Exact agreement with Floyd-Warshall on graphs that stress the kernel."""
 
@@ -187,6 +193,37 @@ class TestBitParallelBfs:
         monkeypatch.setattr(netstats, "_pass_words", lambda n, m: words)
         assert all_pairs_average_path(g) == expected
 
+    @pytest.mark.parametrize("n", [8, 9, 10, 17, 18])
+    def test_complete_graphs_at_chunk_edges(self, n):
+        # degree 7, 8, 9, 16, 17: one short chunk, one full chunk, a full
+        # chunk plus one, two full chunks, two full chunks plus one
+        g = _complete_graph(n)
+        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+
+    def test_path_has_no_multi_chunk_row(self):
+        # every row fits one chunk, so reduceat gets no rows at all
+        g = _path_graph(100)
+        assert g.degrees().max() <= netstats._CHUNK
+        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+
+    def test_star_hub_spans_many_chunks(self):
+        g = _star_graph(300)
+        assert -(-g.degrees().max() // netstats._CHUNK) == 38
+        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+
+    def test_walk_prefixes(self):
+        g = _walk_graph(160, np.random.default_rng(5))
+        for k in default_prefix_sizes(g.n):
+            h = g.prefix(k)
+            assert all_pairs_average_path(h) == floyd_warshall_average_path(h)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 8, 64])
+    def test_chunk_width_does_not_change_value(self, chunk, monkeypatch):
+        g = _walk_graph(129, np.random.default_rng(3))
+        expected = floyd_warshall_average_path(g)
+        monkeypatch.setattr(netstats, "_CHUNK", chunk)
+        assert all_pairs_average_path(g) == expected
+
     @pytest.mark.parametrize("isolated", [0, 40, 79])
     def test_isolated_node_is_disconnected(self, isolated):
         others = [v for v in range(80) if v != isolated]
@@ -204,12 +241,6 @@ class TestBitParallelBfs:
 
 
 _KITE = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
-
-
-def _walk_graph(n, rng):
-    # a random walk's visibility graph has hubs with more neighbors than a
-    # 64-bit word holds
-    return build_fast(np.cumsum(rng.normal(size=n)))
 
 
 def _tie_graph(n, rng):

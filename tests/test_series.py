@@ -172,6 +172,12 @@ class TestFromCsv:
         with pytest.raises(MissingColumn, match="no header"):
             from_csv("1,2\n3,4\n", column="value")
 
+    def test_headerless_has_no_named_date_column(self):
+        with pytest.raises(MissingColumn, match="no header and no date column"):
+            from_csv("20180101,1\n20180102,2\n", column=1, date_column="date")
+        ts = from_csv("20180101,1\n20180102,2\n", column=1, date_column=0)
+        assert ts.timestamps == ("20180101", "20180102")
+
     def test_headerless_bad_cell_reports_file_row(self):
         with pytest.raises(ParseError) as exc_info:
             from_csv("1\n2\nx\n", column=0)
