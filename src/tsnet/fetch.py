@@ -184,9 +184,8 @@ def _normalize_rows(
     date_cols = {year_col, month_col} | ({day_col} if day_col is not None else set())
     value_cols = [i for i in range(len(header)) if i not in date_cols]
     # keep only columns that are numeric in the first parseable row
-    probe = next(
-        (r for r in rows if _int_or_none(r[year_col]) is not None), None
-    )
+    probe = next((r for r in rows if year_col < len(r)
+                  and _int_or_none(r[year_col]) is not None), None)
     if probe is not None:
         value_cols = [
             i

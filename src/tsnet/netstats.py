@@ -314,6 +314,8 @@ def small_world_curve(g: VisibilityGraph,
         sizes = default_prefix_sizes(n)
     else:
         sizes = [int(s) for s in sizes]
+        if not sizes:
+            raise InvalidParam("no prefix sizes given")
         if any(s < 2 or s > n for s in sizes):
             raise InvalidParam(f"prefix sizes must lie in [2, {n}]")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):

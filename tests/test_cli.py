@@ -145,6 +145,13 @@ class TestAnalyze:
         report = json.loads(capsys.readouterr().out)
         assert report["small_world"]["error"] == "InvalidParam"
 
+    @pytest.mark.parametrize("sizes", [",", " "])
+    def test_empty_prefix_sizes_reported_in_section(self, fgn_csv, capsys, sizes):
+        assert run(["analyze", "--input", fgn_csv, "--column", "value",
+                    "--small-world", "--prefix-sizes", sizes]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["small_world"]["error"] == "InvalidParam"
+
 
 class TestDateHandling:
     def test_date_end_month_prefix(self, dated_csv, capsys):
@@ -266,6 +273,16 @@ class TestPlotdata:
         assert curve[0] == "N,L"
         assert [int(line.split(",")[0]) for line in curve[1:]] == [64, 128, 256]
         assert all(float(line.split(",")[1]) >= 1.0 for line in curve[1:])
+
+    def test_empty_prefix_sizes_skip_curve(self, fgn_csv, tmp_path, capsys):
+        outdir = tmp_path / "p6"
+        assert run(["plotdata", "--input", fgn_csv, "--column", "value",
+                    "--out-dir", str(outdir), "--small-world",
+                    "--prefix-sizes", ","]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "tsnet: skipping smallworld_curve.csv: no prefix sizes given"
+        ]
+        assert not (outdir / "smallworld_curve.csv").exists()
 
     def test_k4_degree_pdf(self, write_csv, tmp_path, capsys):
         path = write_csv("value\n0\n1\n4\n9\n")

@@ -56,6 +56,14 @@ class TestFetchDataset:
         assert manifest["rows"] == 3
         assert manifest["reference_rows"] == 12368
 
+    def test_short_row_before_data_skipped(self, tmp_path):
+        raw = "day,month,year,daily_policy_index\nnote\n1,1,1985,100.5\n2,1,1985,98.0\n"
+        url = file_url(tmp_path, "daily.csv", raw)
+        result = fetch_dataset("us-daily", url=url, out_dir=tmp_path / "out")
+        assert result.csv_path.read_text().splitlines() == [
+            "date,epu", "1985-01-01,100.5", "1985-01-02,98.0"
+        ]
+
     def test_fetched_csv_feeds_analyze(self, tmp_path):
         url = file_url(tmp_path, "daily.csv", DAILY_RAW)
         result = fetch_dataset("us-daily", url=url, out_dir=tmp_path / "out")

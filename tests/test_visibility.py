@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -108,7 +109,8 @@ class TestFastAgainstNaive:
         assert build_fast(y).edge_set() == build_naive(y).edge_set()
 
     def test_large_monotone_does_not_recurse_out(self):
-        # worst case for the divide step: maximum always at one end
+        # worst case for the sweep: every sample's side runs to the start,
+        # so the work is N^2 / 2 slopes
         y = np.arange(30_000, dtype=float)
         g = build_fast(y)
         assert g.m == 29_999
@@ -135,15 +137,50 @@ def assert_same_csr(a, b):
     assert np.array_equal(a.indices, b.indices)
 
 
+RAMPS = {"ascending": np.arange(240.0), "descending": -np.arange(240.0)}
+
+
+def _fragile_series():
+    # Walks rounded to 1 decimal and the x3.7 ties, where build_naive's
+    # rounding disagrees with build_fast's, and a rounded walk capped at
+    # its median, whose 203 samples at the maximum block one another.
+    rng = np.random.default_rng(11)
+    walks = [np.round(np.cumsum(rng.normal(size=600)), 1) for _ in range(20)]
+    rng = np.random.default_rng(5)
+    w = np.round(np.cumsum(rng.normal(size=401)), 1)
+    return {
+        "rounded walks": walks,
+        "x3.7 ties": [SWEEP_SERIES["x3.7 ties"]],
+        "plateau": [np.minimum(w, np.median(w))],
+    }
+
+
+# sha256 over each graph's int64 little-endian indptr then indices
+FRAGILE_DIGESTS = {
+    "rounded walks": "aa4ecc4e26a0fdab95769faf99d00ca15fe69830521eca7cf8b256e1bae3b836",
+    "x3.7 ties": "6c2b04828563613087f4829e9294e838b90952ba0e9e12de7f20cc9ef4208786",
+    "plateau": "56131d5cb07a2437bb8592f39e8dfc8a09acae11117699f5adc7a9a3943abcff",
+}
+
+
 class TestFastBuilderForms:
-    @pytest.mark.parametrize("name", ["float", "integer ties", "x3.7 ties", "constant"])
-    def test_sweep_threshold_keeps_csr(self, name, monkeypatch):
-        # 0: vector sweep only; n + 1: scalar sweep only
-        y = SWEEP_SERIES[name]
+    @pytest.mark.parametrize("name", sorted(SWEEP_SERIES) + sorted(RAMPS))
+    def test_batch_size_keeps_csr(self, name, monkeypatch):
+        y = {**SWEEP_SERIES, **RAMPS}[name]
         reference = build_fast(y)
-        for threshold in (0, y.size + 1):
-            monkeypatch.setattr(visibility, "_SMALL_SEGMENT", threshold)
+        for batch in (1, 2, 3, y.size**2):  # the last exceeds all sides' slopes
+            monkeypatch.setattr(visibility, "_BATCH", batch)
             assert_same_csr(build_fast(y), reference)
+
+    @pytest.mark.parametrize("name", sorted(FRAGILE_DIGESTS))
+    def test_csr_pinned_where_float_rule_is_fragile(self, name):
+        # pins the slope expression and its anchor at the higher end
+        digest = hashlib.sha256()
+        for y in _fragile_series()[name]:
+            g = build_fast(y)
+            digest.update(g.indptr.astype("<i8").tobytes())
+            digest.update(g.indices.astype("<i8").tobytes())
+        assert digest.hexdigest() == FRAGILE_DIGESTS[name]
 
     @pytest.mark.parametrize("name", sorted(SWEEP_SERIES))
     def test_prefix_is_graph_of_prefix(self, name):
