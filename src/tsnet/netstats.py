@@ -137,10 +137,10 @@ def clustering(g: VisibilityGraph) -> ClusteringReport:
     Triangles are counted exactly, as integers, from neighbor bitsets
     (the bit-parallel scheme of :func:`all_pairs_average_path`): each
     chunk of 64 * words nodes gets an ``(n, words)`` uint64 array whose
-    row w has bit s set iff w is adjacent to chunk node s, and an edge
-    (u, v) gains the popcount of ``row u & row v``, its common neighbors
-    in the chunk.  Every triangle at i is seen once from each of its two
-    edges at i.
+    row w has bit s set iff w is adjacent to chunk node s.  An edge (u, v)
+    whose rows both hold a bit (the active rows, read off the chunk's CSR
+    neighbor lists) gains the popcount of ``row u & row v``, its common
+    neighbors in the chunk.  A triangle at i is seen from each of its two edges at i.
     """
     deg = g.degrees()
     eligible = deg >= 2
@@ -160,7 +160,8 @@ def clustering(g: VisibilityGraph) -> ClusteringReport:
             (indices[lo:hi], bit // 64),
             np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64)),
         )
-        active = nb.any(axis=1)
+        active = np.zeros(n, dtype=bool)
+        active[indices[lo:hi]] = True
         sel = np.flatnonzero(active[u] & active[v])
         shared = np.bitwise_count(nb[u[sel]] & nb[v[sel]])
         common[sel] += shared.sum(axis=1, dtype=np.int64)

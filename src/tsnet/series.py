@@ -134,10 +134,10 @@ def from_csv(
     carrying the 1-based file line number; nothing is skipped silently.
     So do bytes that are not UTF-8 and malformed CSV.  ``date_column``
     optionally attaches a timestamp column (informational), whose
-    entries must increase strictly.  A named ``date_column`` picks the
-    header equal to the name and otherwise the first header that
-    contains it, both ignoring case; it is never the value column, and a
-    headerless file has none.
+    entries must be present and increase strictly.  A named
+    ``date_column`` picks the header equal to the name and otherwise the
+    first header that contains it, both ignoring case; it is never the
+    value column, and a headerless file has none.
     """
     raw = data if isinstance(data, (bytes, str)) else data.read()
     if isinstance(raw, bytes):
@@ -194,27 +194,28 @@ def _read_rows(reader, column, date_column) -> tuple[list[float], list[str]]:
     stamps: list[str] = []
     for row in itertools.chain([first], reader) if headerless else reader:
         line_no = reader.line_num  # a quoted newline makes a record span lines
-        if not row or all(cell.strip() == "" for cell in row):
-            continue  # blank line, common as a trailing artifact
-        if col_idx >= len(row):
-            raise ParseError(f"row {line_no} has no cell in column {column!r}", row=line_no)
-        cell = row[col_idx].strip()
         try:
+            cell = row[col_idx].strip()
             value = float(cell)
-        except ValueError:
-            raise ParseError(
-                f"row {line_no}: cannot parse {cell!r} as a real number", row=line_no
-            ) from None
+        except (IndexError, ValueError):
+            if not any(c.strip() for c in row):
+                continue  # blank line, common as a trailing artifact
+            if col_idx >= len(row):
+                msg = f"row {line_no} has no cell in column {column!r}"
+            else:
+                msg = f"row {line_no}: cannot parse {cell!r} as a real number"
+            raise ParseError(msg, row=line_no) from None
         if not math.isfinite(value):
             raise ParseError(f"row {line_no}: non-finite value {cell!r}", row=line_no)
         values.append(value)
         if date_idx is not None:
             stamp = row[date_idx].strip() if date_idx < len(row) else ""
+            if not stamp:
+                msg = f"row {line_no} has no date in column {date_column!r}"
+                raise ParseError(msg, row=line_no)
             if stamps and stamp <= stamps[-1]:
-                raise ParseError(
-                    f"row {line_no}: date {stamp!r} does not follow {stamps[-1]!r}",
-                    row=line_no,
-                )
+                msg = f"row {line_no}: date {stamp!r} does not follow {stamps[-1]!r}"
+                raise ParseError(msg, row=line_no)
             stamps.append(stamp)
     return values, stamps
 

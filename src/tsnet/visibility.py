@@ -96,7 +96,7 @@ class VisibilityGraph:
 def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> VisibilityGraph:
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
-    order = np.lexsort((dst, src))
+    order = np.argsort(src * n + dst)  # pairs are unique, so any sort kind agrees
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])

@@ -207,6 +207,13 @@ class TestDateHandling:
         assert report["summary"]["n"] == 4
         assert report["summary"]["max"] == 4.0
 
+    def test_blank_first_date_is_runtime_error(self, write_csv, capsys):
+        # an empty stamp would sort before every cut and be kept
+        path = write_csv("date,epu\n,1\n2018-02,2\n2018-03,3\n")
+        assert run(["analyze", "--input", path, "--column", "epu",
+                    "--date-end", "2018-02"]) == 1
+        assert "row 2 has no date in column 'date'" in capsys.readouterr().err
+
     def test_date_end_on_headerless_file(self, write_csv, capsys):
         path = write_csv("1\n2\n3\n4\n5\n")
         assert run(["analyze", "--input", path, "--column", "0",

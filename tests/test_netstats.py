@@ -295,6 +295,18 @@ class TestBitParallelClustering:
         for g in graphs:
             self.assert_exact(g)
 
+    def test_sparse_graph_over_many_chunks(self):
+        # a long path plus a hub at the end, linked to nodes 5i and 5i + 1:
+        # 4 chunks of up to 512 nodes, and most path nodes have no neighbor
+        # in most chunks, so their rows of a chunk's bitsets stay empty
+        n = 1600
+        hub = n - 1
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        pairs += [(i, hub) for i in range(n - 2) if i % 5 < 2]
+        g = graph_from_pairs(n, pairs)
+        assert netstats._pass_words(g.n, g.m) == 8 and g.n > 3 * 512
+        self.assert_exact(g)
+
     def test_edgeless_graph(self):
         with pytest.raises(ZeroDegreeVariance):
             clustering(graph_from_pairs(3, []))

@@ -143,6 +143,9 @@ class TestFromCsv:
     def test_blank_lines_skipped(self):
         ts = from_csv("v\n1\n\n2\n\n", column="v")
         assert ts.n == 2
+        # whitespace-only rows, the second shorter than the value column
+        for text in ("a,v\n1,2\n , \n3,4\n", "a,b,v\n0,1,2\n , \n0,3,4\n"):
+            assert from_csv(text, column="v").values.tolist() == [2.0, 4.0]
 
     def test_empty_inputs(self):
         with pytest.raises(EmptySeries):
@@ -193,6 +196,56 @@ class TestFromCsv:
             from_csv(text, column="v", date_column="date")
         assert exc_info.value.row == 3
         assert from_csv(text, column="v").n == 2
+
+    def test_missing_or_blank_date_cell(self):
+        # the first data row has no earlier date to be compared with
+        for text, row in [
+            ("v,date\n1\n2,2020-02\n", 2),
+            ("date,v\n,1\n2020-02,2\n", 2),
+            ("date,v\n2020-01,1\n  ,2\n", 3),
+        ]:
+            with pytest.raises(ParseError, match="no date in column 'date'") as exc_info:
+                from_csv(text, column="v", date_column="date")
+            assert exc_info.value.row == row
+            assert from_csv(text, column="v").n == 2
+
+    def test_padded_cells_parse(self):
+        # str.strip() also drops the separators \x1c-\x1f, which float() rejects
+        text = "v\n  1.5 \n\t-2e3\n\x1f2.5\x1c\n"
+        assert from_csv(text, column="v").values.tolist() == [1.5, -2000.0, 2.5]
+
+    def test_cell_messages_show_stripped_cell(self):
+        for text, message in [
+            ("a,v\n1,2\n3, \n", "row 3: cannot parse '' as a real number"),
+            ("v\n1\n x \n", "row 3: cannot parse 'x' as a real number"),
+            ("v\n1\n inf \n", "row 3: non-finite value 'inf'"),
+            ("v\n1\n\x1fnan\x1f\n", "row 3: non-finite value 'nan'"),
+        ]:
+            with pytest.raises(ParseError) as exc_info:
+                from_csv(text, column="v")
+            assert str(exc_info.value) == message
+            assert exc_info.value.row == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-1e150, 1e150),  # moments stay within float64
+                st.text(alphabet=" \t\x1c\x1f", max_size=3),
+                st.text(alphabet=" \t\x1c\x1f", max_size=3),
+                st.sampled_from(["", "\n", " \n", "\t,  \n"]),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_round_trip_bit_exact(self, rows):
+        text = "v,w\n" + "".join(
+            f"{left}{value!r}{right},x\n{blank}" for value, left, right, blank in rows
+        )
+        want = np.array([value for value, *_ in rows])
+        got = from_csv(text, column="v").values
+        assert got.tobytes() == want.tobytes()
 
     def test_field_over_csv_limit(self):
         with pytest.raises(ParseError):

@@ -182,6 +182,16 @@ class TestFastBuilderForms:
             digest.update(g.indices.astype("<i8").tobytes())
         assert digest.hexdigest() == FRAGILE_DIGESTS[name]
 
+    @pytest.mark.parametrize("name", ["walk", "integer ties"])
+    def test_csr_ignores_edge_order(self, name):
+        g = build_fast(SWEEP_SERIES[name])
+        u, v = g.edge_array().T
+        rng = np.random.default_rng(7)
+        order = rng.permutation(g.m)
+        flip = rng.random(g.m) < 0.5  # either endpoint may come first
+        u, v = np.where(flip, v, u)[order], np.where(flip, u, v)[order]
+        assert_same_csr(visibility._graph_from_edges(g.n, u, v), g)
+
     @pytest.mark.parametrize("name", sorted(SWEEP_SERIES))
     def test_prefix_is_graph_of_prefix(self, name):
         y = SWEEP_SERIES[name]
