@@ -208,9 +208,10 @@ def _pass_words(n: int, m: int) -> int:
 
     Sets the sources per BFS pass and the nodes per clustering chunk.
     The rule keeps ``m * words`` at most ``128 * n`` (or one word).  A
-    clustering chunk gathers two rows per edge, and an all-pairs level
-    gathers into two buffers of one row per ``_CHUNK``-neighbor chunk (at
-    most ``2m / _CHUNK + n`` rows), each row ``words * 8`` bytes.  So peak
+    clustering chunk gathers two rows per edge, and an all-pairs pass
+    holds two buffers of one row per ``_CHUNK``-neighbor chunk (at most
+    ``2m / _CHUNK + n`` rows), each row ``words * 8`` bytes; a level fills
+    only the rows of real slots past the settled rows.  So peak
     memory stays flat on dense graphs, while sparse graphs get the widest
     pass (8 words, 512 sources).
     """
@@ -230,9 +231,16 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
     padded to a multiple of ``_CHUNK`` by repeating their last entry,
     which is exact because OR is idempotent, and stored slot-major: slot
     ``b`` lists entry ``b`` of every chunk, so ``_CHUNK`` gathers OR whole
-    chunks at once.  Nodes are relabeled, stably, by chunk count, so the
-    one-chunk nodes form a leading block that takes its chunk as is and
-    only the rest go through ``reduceat``.  Source ``s`` still owns its
+    chunks at once.  Nodes are relabeled hubs first, stably by descending
+    degree: the multi-chunk rows lead and go through ``reduceat``, and the
+    one-chunk rows follow in descending degree and take their chunk as
+    is.  Slot ``b`` of a one-chunk row is padding once its degree is at
+    most ``b``, so slot ``b`` is gathered only up to ``ends[b]``.  Hubs
+    are reached first and so settle first: the rows before ``settled``
+    have no unseen bit, can gain nothing, and are skipped.  Their last
+    frontier may still be read by a later level, but a neighbor has seen
+    those sources one level after them, so ``unseen`` masks the bits.  A
+    pass stops once every pair is reached.  Source ``s`` still owns its
     own bit, so the sum does not depend on the labels.
     """
     n = g.n
@@ -243,17 +251,18 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
     if np.any(deg == 0):
         raise DisconnectedGraph("graph has an isolated node")
     width = 64 * _pass_words(n, g.m)
-    chunks = -(-deg // _CHUNK)
-    order = np.argsort(chunks, kind="stable")  # new label -> node
+    order = np.argsort(-deg, kind="stable")  # new label -> node
     label = np.argsort(order)  # node -> new label
-    chunks, deg = chunks[order], deg[order]
+    deg = deg[order]
+    chunks = -(-deg // _CHUNK)
     first = np.concatenate(([0], np.cumsum(chunks)))  # first chunk per row
     row = np.repeat(np.arange(n), chunks * _CHUNK)
     entry = np.minimum(np.arange(row.size) - first[row] * _CHUNK, deg[row] - 1)
     padded = g.indices[g.indptr[order][row] + entry]
     slots = np.ascontiguousarray(label[padded].reshape(-1, _CHUNK).T)
-    single = int(np.searchsorted(chunks, 2))  # rows with one chunk
-    multi_starts = first[single:-1] - single
+    multi = int(np.searchsorted(-chunks, -1))  # rows with more than one chunk
+    # slot b is real only up to the last one-chunk row of degree > b
+    ends = first[multi] + np.searchsorted(-deg[multi:], -np.arange(_CHUNK))
 
     def pass_sum(start: int) -> int:
         k = min(width, n - start)
@@ -263,32 +272,36 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
         frontier[label[start + bit], bit // 64] = np.left_shift(
             np.uint64(1), (bit % 64).astype(np.uint64)
         )
-        unseen = ~frontier
+        # only the k source bits, so a row of a narrow pass can settle too
+        unseen = frontier ^ np.bitwise_or.reduce(frontier, axis=0)
         gathered = np.empty((slots.shape[1], words), dtype=np.uint64)
         scratch = np.empty_like(gathered)
         total = 0
         reached = k
         level = 0
-        while True:
+        settled = 0  # rows before settled have no unseen bit
+        while reached < k * n:
             level += 1
+            c = first[settled]
             # mode="clip" lets take write into out without a buffer copy
-            np.take(frontier, slots[0], axis=0, out=gathered, mode="clip")
-            for slot in slots[1:]:
-                np.take(frontier, slot, axis=0, out=scratch, mode="clip")
-                gathered |= scratch
-            frontier[:single] = gathered[:single]
+            np.take(frontier, slots[0, c:], axis=0, out=gathered[c:], mode="clip")
+            for slot, end in zip(slots[1:], ends[1:]):
+                np.take(frontier, slot[c:end], axis=0, out=scratch[c:end], mode="clip")
+                gathered[c:end] |= scratch[c:end]
+            one = max(settled, multi)
+            frontier[one:] = gathered[first[one]:]
             np.bitwise_or.reduceat(
-                gathered[single:], multi_starts, axis=0, out=frontier[single:]
+                gathered[c : first[multi]], first[settled:multi] - c, axis=0,
+                out=frontier[settled:multi],
             )
-            frontier &= unseen
-            count = int(np.bitwise_count(frontier).sum())
+            frontier[settled:] &= unseen[settled:]
+            count = int(np.bitwise_count(frontier[settled:]).sum())
             if count == 0:
-                break
+                raise DisconnectedGraph("graph has unreachable node pairs")
             total += level * count
             reached += count
-            unseen ^= frontier
-        if reached < k * n:
-            raise DisconnectedGraph("graph has unreachable node pairs")
+            unseen[settled:] ^= frontier[settled:]
+            settled += int(np.argmax(unseen[settled:].reshape(-1) != 0)) // words
         return total
 
     total = sum(pass_sum(s) for s in range(0, n, width))

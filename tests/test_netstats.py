@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsnet import netstats
 from tsnet import (
@@ -165,6 +166,40 @@ def _walk_graph(n, rng):
     return build_fast(np.cumsum(rng.normal(size=n)))
 
 
+def _caterpillar_graph():
+    # spine nodes 0..6 of degree 2..8 with pendant legs, and node 7, a hub
+    # with 20 legs at the spine's end: the rows of degree 1..8 fill one
+    # chunk each, up to slot 0, 1, ..., 7
+    pairs = [(j, j + 1) for j in range(7)]
+    legs = [1, 1, 2, 3, 4, 5, 6, 20]  # degree minus spine neighbours
+    for v, count in enumerate(legs):
+        for _ in range(count):
+            pairs.append((v, len(pairs) + 1))
+    return graph_from_pairs(len(pairs) + 1, pairs)
+
+
+def _spider_graph(legs, length):
+    # node 1 + r * legs + j is the (r + 1)-th node out on leg j, so the rows
+    # settle ring by ring, from the hub outwards, in label order
+    pairs = [(0, 1 + j) for j in range(legs)]
+    pairs += [(v, v + legs) for v in range(1, 1 + legs * (length - 1))]
+    return graph_from_pairs(1 + legs * length, pairs)
+
+
+@st.composite
+def _connected_graphs(draw):
+    # a random tree (each node hangs off an earlier one) plus extra edges,
+    # under a random labelling
+    n = draw(st.integers(2, 150))
+    parents = draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(v, p % v) for v, p in enumerate(parents, start=1)]
+    pairs += [(a, b) for a, b in extra if a != b]
+    return graph_from_pairs(n, [(perm[a], perm[b]) for a, b in pairs])
+
+
 class TestBitParallelBfs:
     """Exact agreement with Floyd-Warshall on graphs that stress the kernel."""
 
@@ -196,7 +231,8 @@ class TestBitParallelBfs:
     @pytest.mark.parametrize("n", [8, 9, 10, 17, 18])
     def test_complete_graphs_at_chunk_edges(self, n):
         # degree 7, 8, 9, 16, 17: one short chunk, one full chunk, a full
-        # chunk plus one, two full chunks, two full chunks plus one
+        # chunk plus one, two full chunks, two full chunks plus one; at 17
+        # and 18 nodes no row has one chunk, so every slot ends at the last
         g = _complete_graph(n)
         assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
 
@@ -223,6 +259,36 @@ class TestBitParallelBfs:
         expected = floyd_warshall_average_path(g)
         monkeypatch.setattr(netstats, "_CHUNK", chunk)
         assert all_pairs_average_path(g) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 2, 8, 64])
+    def test_degree_ladder(self, chunk, monkeypatch):
+        # at _CHUNK = 8, every per-slot end of the one-chunk rows differs
+        g = _caterpillar_graph()
+        deg = g.degrees()
+        assert sorted(set(deg[deg <= 8])) == list(range(1, 9))
+        assert deg.max() > 16
+        expected = floyd_warshall_average_path(g)
+        monkeypatch.setattr(netstats, "_CHUNK", chunk)
+        assert all_pairs_average_path(g) == expected
+
+    @pytest.mark.parametrize("words", [1, 4])
+    def test_spider_settles_mid_pass(self, words, monkeypatch):
+        # the hub (5 chunks) settles first, then the legs' rows ring by
+        # ring, while the tips still wait for the far legs
+        g = _spider_graph(40, 6)
+        assert netstats._pass_words(g.n, g.m) == 4
+        expected = floyd_warshall_average_path(g)
+        monkeypatch.setattr(netstats, "_pass_words", lambda n, m: words)
+        assert all_pairs_average_path(g) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(_connected_graphs())
+    def test_random_connected_graphs(self, g):
+        expected = floyd_warshall_average_path(g)
+        for words in (1, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(netstats, "_pass_words", lambda n, m: words)
+                assert all_pairs_average_path(g) == expected
 
     @pytest.mark.parametrize("isolated", [0, 40, 79])
     def test_isolated_node_is_disconnected(self, isolated):
