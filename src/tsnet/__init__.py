@@ -48,7 +48,7 @@ from .netstats import (
     small_world_verdict,
 )
 from .generators import KINDS, GeneratorSpec, generate
-from .report import build_report, canonical_json
+from .report import build_report, canonical_json, run_stages
 
 __all__ = [
     "__version__",
@@ -94,6 +94,7 @@ __all__ = [
     "GeneratorSpec",
     "generate",
     "KINDS",
+    "run_stages",
     "build_report",
     "canonical_json",
 ]

@@ -1,9 +1,9 @@
 """Command line interface.
 
-    tsnet analyze  --input series.csv --column epu [--report out.json]
-    tsnet gen      --kind fgn --n 16384 --hurst 0.8 --seed 42 --out s.csv
-    tsnet fetch    us-daily --out-dir data/
-    tsnet plotdata --input series.csv --column epu --out-dir plots/
+    tsnet analyze --input series.csv --column epu [--report out.json]
+                  [--plot-dir plots/]
+    tsnet gen     --kind fgn --n 16384 --hurst 0.8 --seed 42 --out s.csv
+    tsnet fetch   us-daily --out-dir data/
 
 Exit codes: 0 success, 1 runtime error (bad input file, network failure,
 unusable data), 2 usage error.  Stage-level degeneracies during analyze
@@ -21,11 +21,8 @@ from .errors import EmptySeries, TsnetError
 from ._fit import log_spaced_ints
 from .fetch import DATASETS, fetch_dataset
 from .generators import KINDS, GeneratorSpec, generate
-from .dfa import dfa_fluctuation
-from .netstats import degree_distribution, small_world_curve
-from .report import build_report, canonical_json, run_stage
+from .report import build_report, canonical_json, run_stages
 from .series import TimeSeries, from_csv
-from .visibility import build_fast
 
 
 def _scale_grid(text: str) -> list[int]:
@@ -76,21 +73,45 @@ def _load_series(path: str, column: str, date_end: str | None) -> TimeSeries:
 
 def _cmd_analyze(args) -> int:
     ts = _load_series(args.input, args.column, args.date_end)
-    report = build_report(
+    stages = run_stages(
         ts,
         dfa_order=args.dfa_order,
         dfa_scales=args.dfa_scales,
         tail_kmin=args.tail_kmin,
         small_world=args.small_world,
         prefix_sizes=args.prefix_sizes,
-        source={"path": args.input, "column": args.column},
     )
+    report = build_report(stages, source={"path": args.input, "column": args.column})
     text = canonical_json(report)
     if args.report:
         Path(args.report).write_text(text, newline="\n")
     else:
         sys.stdout.write(text)
+    if args.plot_dir:
+        _write_plots(stages, Path(args.plot_dir))
     return 0
+
+
+def _write_plots(stages: dict, outdir: Path) -> None:
+    """Write the plot-ready CSVs; name each one that cannot be written on stderr."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    graph = stages["graph"]
+    outputs = [
+        ("dfa_fluctuations.csv", "n,F", stages["dfa"], lambda r: (r.scales, r.fluctuations)),
+        # a failed graph skips its pdf with its own error, not Unavailable
+        ("degree_pdf.csv", "k,p", graph if isinstance(graph, TsnetError) else stages["dist"],
+         lambda d: (d.support, d.pdf)),
+    ]
+    if stages["curve"] is not None:
+        outputs.append(
+            ("smallworld_curve.csv", "N,L", stages["curve"], lambda c: (c.sizes, c.lengths))
+        )
+    for name, header, result, columns in outputs:
+        if isinstance(result, TsnetError):
+            print(f"tsnet: skipping {name}: {result}", file=sys.stderr)
+            continue
+        rows = "".join(f"{int(x)},{float(y)!r}\n" for x, y in zip(*columns(result)))
+        (outdir / name).write_text(f"{header}\n{rows}", newline="\n")
 
 
 def _cmd_gen(args) -> int:
@@ -126,71 +147,6 @@ def _cmd_fetch(args) -> int:
     return 0
 
 
-def _cmd_plotdata(args) -> int:
-    ts = _load_series(args.input, args.column, args.date_end)
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    fluct = run_stage(
-        lambda: dfa_fluctuation(ts, scales=args.dfa_scales, order=args.dfa_order)
-    )
-    graph = run_stage(build_fast, ts)
-    dist = run_stage(degree_distribution, graph)
-    outputs = [
-        ("dfa_fluctuations.csv", "n,F", fluct, lambda r: (r.scales, r.fluctuations)),
-        # a failed graph skips its pdf with its own error, not Unavailable
-        ("degree_pdf.csv", "k,p", graph if isinstance(graph, TsnetError) else dist,
-         lambda d: (d.support, d.pdf)),
-    ]
-    if args.small_world:
-        curve = run_stage(
-            lambda g: small_world_curve(g, sizes=args.prefix_sizes), graph
-        )
-        outputs.append(
-            ("smallworld_curve.csv", "N,L", curve, lambda c: (c.sizes, c.lengths))
-        )
-    for name, header, result, columns in outputs:
-        if isinstance(result, TsnetError):
-            print(f"tsnet: skipping {name}: {result}", file=sys.stderr)
-            continue
-        rows = "".join(f"{int(x)},{float(y)!r}\n" for x, y in zip(*columns(result)))
-        (outdir / name).write_text(f"{header}\n{rows}", newline="\n")
-    return 0
-
-
-def _add_series_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="input CSV path")
-    parser.add_argument(
-        "--column",
-        default="value",
-        help="value column name or zero-based index (default: value)",
-    )
-    parser.add_argument(
-        "--date-end",
-        default=None,
-        metavar="YYYY-MM[-DD]",
-        help="keep only rows dated on or before this (prefix match allowed); "
-        "dates come from the column named 'date' (any case), else the first "
-        "whose header contains 'date'",
-    )
-    parser.add_argument(
-        "--dfa-order", type=int, default=2, help="detrending polynomial order"
-    )
-    parser.add_argument(
-        "--dfa-scales",
-        type=_scale_grid,
-        default=None,
-        metavar="MIN:MAX:COUNT",
-        help="log-spaced DFA scale grid (default: 8 to n/4, 20 scales)",
-    )
-    parser.add_argument(
-        "--prefix-sizes",
-        type=_int_list,
-        default=None,
-        metavar="N1,N2,...",
-        help="growing-window sizes for the small-world curve",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsnet",
@@ -199,8 +155,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full analysis report as canonical JSON")
-    _add_series_args(p)
+    p.add_argument("--input", required=True, help="input CSV path")
+    p.add_argument(
+        "--column",
+        default="value",
+        help="value column name or zero-based index (default: value)",
+    )
+    p.add_argument(
+        "--date-end",
+        default=None,
+        metavar="YYYY-MM[-DD]",
+        help="keep only rows dated on or before this (prefix match allowed); "
+        "dates come from the column named 'date' (any case), else the first "
+        "whose header contains 'date'",
+    )
+    p.add_argument(
+        "--dfa-order", type=int, default=2, help="detrending polynomial order"
+    )
+    p.add_argument(
+        "--dfa-scales",
+        type=_scale_grid,
+        default=None,
+        metavar="MIN:MAX:COUNT",
+        help="log-spaced DFA scale grid (default: 8 to n/4, 20 scales)",
+    )
+    p.add_argument(
+        "--prefix-sizes",
+        type=_int_list,
+        default=None,
+        metavar="N1,N2,...",
+        help="growing-window sizes for the small-world curve",
+    )
     p.add_argument("--report", default=None, help="write JSON here instead of stdout")
+    p.add_argument(
+        "--plot-dir",
+        default=None,
+        help="also write plot-ready CSV curves (DFA, degree pdf, L(N)) here",
+    )
     p.add_argument(
         "--small-world",
         action="store_true",
@@ -233,16 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--timeout", type=float, default=30.0)
     p.set_defaults(func=_cmd_fetch)
-
-    p = sub.add_parser("plotdata", help="write plot-ready CSV curves")
-    _add_series_args(p)
-    p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument(
-        "--small-world",
-        action="store_true",
-        help="also write the growing-window curve (slow on long series)",
-    )
-    p.set_defaults(func=_cmd_plotdata)
     return parser
 
 

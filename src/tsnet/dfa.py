@@ -24,7 +24,7 @@ _PERSISTENCE_TOL = 1e-9  # exponents this close to 0.5 are uncorrelated
 
 @dataclass(frozen=True)
 class DfaResult:
-    """Fluctuation function and, from :func:`estimate_hurst`, the Hurst fit."""
+    """Fluctuation function and, from :func:`fit_hurst`, the Hurst fit."""
 
     scales: np.ndarray
     fluctuations: np.ndarray
@@ -88,12 +88,16 @@ def _fluctuation_at_scale(profile: np.ndarray, s: int, order: int) -> float:
 
 
 def estimate_hurst(ts, scales=None, order: int = 2) -> DfaResult:
-    """Fluctuation function and its Hurst fit, as one new result.
+    """Fluctuation function and its Hurst fit, as one new result."""
+    return fit_hurst(dfa_fluctuation(ts, scales=scales, order=order))
+
+
+def fit_hurst(result: DfaResult) -> DfaResult:
+    """``result`` with the Hurst fit of its fluctuation function added.
 
     The slope of ln F(n) vs ln n is fitted over the scales with
     F(n) > 0; fewer than two such scales is a degenerate fit.
     """
-    result = dfa_fluctuation(ts, scales=scales, order=order)
     scales, flucts = result.scales, result.fluctuations
     positive = flucts > 0.0
     scales, flucts = scales[positive], flucts[positive]

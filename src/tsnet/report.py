@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .dfa import classify_persistence, estimate_hurst
+from .dfa import classify_persistence, dfa_fluctuation, fit_hurst
 from .errors import TsnetError, Unavailable
 from .netstats import (
     all_pairs_average_path,
@@ -61,8 +61,10 @@ def canonical_json(obj) -> str:
 def run_stage(compute, *needs):
     """``compute(*needs)``, or the :class:`TsnetError` that stopped it.
 
-    A stage whose need failed is not run and fails with
-    :class:`Unavailable`; every stage that has a need needs the graph.
+    Runs each stage of :func:`run_stages` and each section render of
+    :func:`build_report`.  A stage whose need failed is not run and
+    fails with :class:`Unavailable`; every stage that has a need needs
+    the graph.
     """
     if any(isinstance(need, TsnetError) for need in needs):
         return Unavailable("graph construction failed")
@@ -98,7 +100,18 @@ def _small_world_section(curve, g, clust) -> dict:
     }
 
 
-def build_report(
+def _hurst_section(h) -> dict:
+    return {
+        "estimate": h.hurst,
+        "fit_r2": h.fit_r2,
+        "fit_range": list(h.fit_range),
+        "order": h.order,
+        "n_scales": int(h.scales.size),
+        "classification": classify_persistence(h.hurst),
+    }
+
+
+def run_stages(
     ts: TimeSeries,
     *,
     dfa_order: int = 2,
@@ -106,31 +119,39 @@ def build_report(
     tail_kmin: int | None = None,
     small_world: bool = False,
     prefix_sizes: list[int] | None = None,
-    source: dict | None = None,
 ) -> dict:
-    """Run the full pipeline on one series and collect results.
-
-    Stage-level degeneracies (series too short for DFA, too few tail
-    points, zero degree variance, ...) land in the affected section as
-    ``{"error": <name>, "detail": ...}`` without aborting the rest; the
-    sections that need a failed graph read ``Unavailable``.
+    """Run the pipeline on one series: each stage's result by name, or the
+    :class:`TsnetError` that stopped it (``Unavailable`` where the graph
+    failed).  ``curve`` is None without ``small_world``.
     """
-    stats = summary(ts)
-    hurst = run_stage(lambda: estimate_hurst(ts, scales=dfa_scales, order=dfa_order))
-    graph = run_stage(build_fast, ts)
-    dist = run_stage(degree_distribution, graph)
-    tail = run_stage(lambda d: fit_powerlaw_tail(d, k_min=tail_kmin), dist)
-    clust = run_stage(clustering, graph)
-    assort = run_stage(assortativity, graph)
-    curve = (
+    stages = {"label": ts.label, "summary": summary(ts)}
+    stages["dfa"] = run_stage(
+        lambda: dfa_fluctuation(ts, scales=dfa_scales, order=dfa_order)
+    )
+    graph = stages["graph"] = run_stage(build_fast, ts)
+    dist = stages["dist"] = run_stage(degree_distribution, graph)
+    stages["tail"] = run_stage(lambda d: fit_powerlaw_tail(d, k_min=tail_kmin), dist)
+    stages["clustering"] = run_stage(clustering, graph)
+    stages["assortativity"] = run_stage(assortativity, graph)
+    stages["curve"] = (
         run_stage(lambda g: small_world_curve(g, sizes=prefix_sizes), graph)
         if small_world
         else None
     )
+    return stages
+
+
+def build_report(stages: dict, source: dict | None = None) -> dict:
+    """Render :func:`run_stages`' results; a failed stage reads
+    ``{"error": <name>, "detail": ...}`` in its section.  The Hurst fit
+    runs here, so its own error (``DegenerateFit``) lands there too.
+    """
+    stats = stages["summary"]
+    graph, clust, curve = stages["graph"], stages["clustering"], stages["curve"]
     return {
         "schema": SCHEMA,
         "tool_version": __version__,
-        "label": ts.label,
+        "label": stages["label"],
         "source": source,
         "summary": {
             "n": stats.n,
@@ -143,32 +164,25 @@ def build_report(
             "kurtosis": stats.kurtosis,
             "kurtosis_convention": "excess",
         },
-        "hurst": _section(lambda h: {
-            "estimate": h.hurst,
-            "fit_r2": h.fit_r2,
-            "fit_range": list(h.fit_range),
-            "order": h.order,
-            "n_scales": int(h.scales.size),
-            "classification": classify_persistence(h.hurst),
-        }, hurst),
+        "hurst": _section(lambda f: _hurst_section(fit_hurst(f)), stages["dfa"]),
         "graph": _section(lambda g, d: {
             "n_nodes": g.n,
             "n_edges": g.m,
             "mean_degree": d.mean_degree(),
             "k_min": d.k_min,
             "k_max": d.k_max,
-        }, graph, dist),
+        }, graph, stages["dist"]),
         "degree_tail": _section(lambda f: {
             "gamma": f.gamma,
             "r2": f.r2,
             "k_range": list(f.k_range),
             "n_points": f.n_points,
-        }, tail),
+        }, stages["tail"]),
         "clustering": _section(
             lambda c: {"average": c.average, "c_max": c.c_max, "c_min": c.c_min}, clust
         ),
-        "assortativity": _section(lambda r: {"r": r}, assort),
+        "assortativity": _section(lambda r: {"r": r}, stages["assortativity"]),
         "small_world": _section(
             lambda c, g: _small_world_section(c, g, clust), curve, graph
-        ) if small_world else None,
+        ) if curve is not None else None,
     }

@@ -65,10 +65,6 @@ class VisibilityGraph:
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        """Sorted neighbor list of node ``i`` (read-only view)."""
-        return self.indices[self.indptr[i] : self.indptr[i + 1]]
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -77,9 +73,6 @@ class VisibilityGraph:
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         keep = self.indices > rows
         return np.column_stack([rows[keep], self.indices[keep]])
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(i), int(j)) for i, j in self.edge_array()}
 
     def prefix(self, k: int) -> "VisibilityGraph":
         """Subgraph induced by nodes ``0..k-1``: the graph of the series'

@@ -5,6 +5,7 @@ with the library: visibility by the chord definition, paths by
 Floyd-Warshall, triangles by triple enumeration, assortativity by the
 direct correlation sums, DFA by per-window polyfit, and the expected
 natural-visibility mean degree of iid uniform noise by exact integration.
+``neighbors`` and ``edge_set`` read a graph's CSR for the tests.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ from fractions import Fraction
 import numpy as np
 
 from tsnet.visibility import VisibilityGraph
+
+
+def neighbors(g: VisibilityGraph, i: int) -> np.ndarray:
+    """Sorted neighbor list of node ``i``, read straight from the CSR."""
+    return g.indices[g.indptr[i] : g.indptr[i + 1]]
+
+
+def edge_set(g: VisibilityGraph) -> set[tuple[int, int]]:
+    """All edges as ``(i, j)`` pairs with i < j."""
+    return {(int(i), int(j)) for i, j in g.edge_array()}
 
 
 def brute_visibility_edges(y) -> set[tuple[int, int]]:
@@ -70,16 +81,16 @@ def floyd_warshall_average_path(g: VisibilityGraph) -> float:
 def clustering_by_triples(g: VisibilityGraph):
     """Per-node clustering by enumerating neighbor pairs."""
     per = np.zeros(g.n)
-    edge_set = g.edge_set()
+    edges = edge_set(g)
     for i in range(g.n):
-        nbrs = [int(v) for v in g.neighbors(i)]
+        nbrs = [int(v) for v in neighbors(g, i)]
         k = len(nbrs)
         if k < 2:
             continue
         closed = sum(
             1
             for a, b in itertools.combinations(sorted(nbrs), 2)
-            if (a, b) in edge_set
+            if (a, b) in edges
         )
         per[i] = 2.0 * closed / (k * (k - 1))
     return per

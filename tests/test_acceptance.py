@@ -36,6 +36,7 @@ from tsnet import (
     fit_powerlaw_tail,
     from_csv,
     generate,
+    run_stages,
     small_world_curve,
     summary,
 )
@@ -45,6 +46,7 @@ from tsnet.fetch import fetch_dataset
 from oracles import (
     assortativity_direct,
     clustering_by_triples,
+    edge_set,
     floyd_warshall_average_path,
     graph_from_pairs,
     iid_uniform_mean_degree,
@@ -119,13 +121,13 @@ def test_criterion_2_analytic_graphs(check):
     # series that is not a straight line at the last bit.
     for slope, intercept in [(1.0, 0.0), (-0.5, 9.0)]:
         y = intercept + slope * np.arange(50, dtype=float)
-        if build_fast(y).edge_set() != {(i, i + 1) for i in range(49)}:
+        if edge_set(build_fast(y)) != {(i, i + 1) for i in range(49)}:
             problems.append(f"linear slope={slope} not a path")
     n = 40
     g = build_fast(np.arange(n, dtype=float) ** 2)
     if g.m != n * (n - 1) // 2:
         problems.append(f"convex gave m={g.m}, want {n * (n - 1) // 2}")
-    if (0, 2) in build_fast(np.array([0.0, 1.0, 2.0])).edge_set():
+    if (0, 2) in edge_set(build_fast(np.array([0.0, 1.0, 2.0]))):
         problems.append("collinear triple produced the (0,2) edge")
     check(
         "criterion 2 (analytic graph cases exact)",
@@ -384,7 +386,7 @@ def test_criterion_6b_runtime_envelope_synthetic(check):
     # fetched: same length, same stages, persistent synthetic input.
     ts = generate(GeneratorSpec(kind="fgn", n=12368, seed=7, params={"hurst": 0.8}))
     started = time.perf_counter()
-    report = build_report(ts, small_world=True)
+    report = build_report(run_stages(ts, small_world=True))
     elapsed = time.perf_counter() - started
     sections_ok = (
         report["graph"]["n_nodes"] == 12368

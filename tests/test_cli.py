@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import tsnet.report
 from tsnet.cli import build_parser, main
 
 
@@ -105,6 +106,14 @@ class TestAnalyze:
         assert report["hurst"]["error"] == "SeriesTooShort"
         assert report["degree_tail"]["error"] == "InsufficientTailPoints"
         assert report["graph"]["n_nodes"] == 4  # graph stage still ran
+
+    def test_constant_series_hurst_fit_reported(self, write_csv, capsys):
+        # F(n) is all zero, so the fit, run while the report renders, fails
+        path = write_csv("value\n" + "3.5\n" * 64)
+        assert run(["analyze", "--input", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["hurst"]["error"] == "DegenerateFit"
+        assert report["graph"]["n_nodes"] == 64
 
     def test_failed_graph_marks_dependents_unavailable(self, write_csv, capsys):
         path = write_csv("value\n5.0\n")
@@ -265,10 +274,16 @@ class TestDeterminism:
 
 
 class TestPlotdata:
-    def test_writes_curves(self, fgn_csv, tmp_path):
+    """``analyze --plot-dir``: plot-ready CSVs from the report's own stages."""
+
+    @pytest.fixture
+    def report(self, tmp_path):
+        return str(tmp_path / "report.json")
+
+    def test_writes_curves(self, fgn_csv, tmp_path, report):
         outdir = tmp_path / "plots"
-        assert run(["plotdata", "--input", fgn_csv, "--column", "value",
-                    "--out-dir", str(outdir), "--small-world",
+        assert run(["analyze", "--input", fgn_csv, "--column", "value",
+                    "--plot-dir", str(outdir), "--report", report, "--small-world",
                     "--prefix-sizes", "64,128,256"]) == 0
         dfa = (outdir / "dfa_fluctuations.csv").read_text().splitlines()
         assert dfa[0] == "n,F" and len(dfa) > 5
@@ -281,30 +296,30 @@ class TestPlotdata:
         assert [int(line.split(",")[0]) for line in curve[1:]] == [64, 128, 256]
         assert all(float(line.split(",")[1]) >= 1.0 for line in curve[1:])
 
-    def test_empty_prefix_sizes_skip_curve(self, fgn_csv, tmp_path, capsys):
+    def test_empty_prefix_sizes_skip_curve(self, fgn_csv, tmp_path, capsys, report):
         outdir = tmp_path / "p6"
-        assert run(["plotdata", "--input", fgn_csv, "--column", "value",
-                    "--out-dir", str(outdir), "--small-world",
+        assert run(["analyze", "--input", fgn_csv, "--column", "value",
+                    "--plot-dir", str(outdir), "--report", report, "--small-world",
                     "--prefix-sizes", ","]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "tsnet: skipping smallworld_curve.csv: no prefix sizes given"
         ]
         assert not (outdir / "smallworld_curve.csv").exists()
 
-    def test_k4_degree_pdf(self, write_csv, tmp_path, capsys):
+    def test_k4_degree_pdf(self, write_csv, tmp_path, capsys, report):
         path = write_csv("value\n0\n1\n4\n9\n")
         outdir = tmp_path / "p2"
-        assert run(["plotdata", "--input", path, "--column", "value",
-                    "--out-dir", str(outdir)]) == 0
+        assert run(["analyze", "--input", path, "--column", "value",
+                    "--plot-dir", str(outdir), "--report", report]) == 0
         assert (outdir / "degree_pdf.csv").read_text() == "k,p\n3,1.0\n"
         assert not (outdir / "dfa_fluctuations.csv").exists()
         assert "dfa_fluctuations" in capsys.readouterr().err
 
-    def test_failed_graph_skips_every_csv(self, write_csv, tmp_path, capsys):
+    def test_failed_graph_skips_every_csv(self, write_csv, tmp_path, capsys, report):
         path = write_csv("value\n5.0\n")
         outdir = tmp_path / "p4"
-        assert run(["plotdata", "--input", path, "--out-dir", str(outdir),
-                    "--small-world"]) == 0
+        assert run(["analyze", "--input", path, "--plot-dir", str(outdir),
+                    "--report", report, "--small-world"]) == 0
         assert capsys.readouterr().err.splitlines() == [
             "tsnet: skipping dfa_fluctuations.csv: "
             "n=1 leaves no valid scale (need n >= 32)",
@@ -313,24 +328,60 @@ class TestPlotdata:
         ]
         assert list(outdir.iterdir()) == []
 
-    def test_constant_dfa_zero(self, write_csv, tmp_path):
+    def test_constant_dfa_zero(self, write_csv, tmp_path, report):
         # the Hurst fit of a constant series fails; F(n) is still written
         path = write_csv("value\n" + "3.5\n" * 64)
         outdir = tmp_path / "p5"
-        assert run(["plotdata", "--input", path, "--out-dir", str(outdir)]) == 0
+        assert run(["analyze", "--input", path, "--plot-dir", str(outdir),
+                    "--report", report]) == 0
         lines = (outdir / "dfa_fluctuations.csv").read_text().splitlines()
         assert lines[0] == "n,F" and len(lines) > 1
         assert all(line.split(",")[1] == "0.0" for line in lines[1:])
 
-    def test_linear_dfa_zero(self, tmp_path):
+    def test_linear_dfa_zero(self, tmp_path, report):
         src = tmp_path / "lin.csv"
         assert run(["gen", "--kind", "linear", "--n", "512",
                     "--out", str(src)]) == 0
         outdir = tmp_path / "p3"
-        assert run(["plotdata", "--input", str(src), "--column", "value",
-                    "--out-dir", str(outdir), "--dfa-order", "2"]) == 0
+        assert run(["analyze", "--input", str(src), "--column", "value",
+                    "--plot-dir", str(outdir), "--report", report,
+                    "--dfa-order", "2"]) == 0
         lines = (outdir / "dfa_fluctuations.csv").read_text().splitlines()[1:]
         assert all(float(line.split(",")[1]) < 1e-6 for line in lines)
+
+    def test_report_unchanged_by_plot_dir(self, fgn_csv, tmp_path):
+        argv = ["analyze", "--input", fgn_csv, "--column", "value",
+                "--small-world", "--prefix-sizes", "64,256,600"]
+        plain, plotted = tmp_path / "plain.json", tmp_path / "plotted.json"
+        assert run(argv + ["--report", str(plain)]) == 0
+        assert run(argv + ["--report", str(plotted),
+                           "--plot-dir", str(tmp_path / "plots")]) == 0
+        assert plotted.read_bytes() == plain.read_bytes()
+
+    def test_each_stage_runs_once(self, fgn_csv, tmp_path, report, monkeypatch):
+        calls = []
+
+        def counting(name):
+            original = getattr(tsnet.report, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in ("build_fast", "small_world_curve"):
+            monkeypatch.setattr(tsnet.report, name, counting(name))
+        assert run(["analyze", "--input", fgn_csv, "--column", "value",
+                    "--small-world", "--prefix-sizes", "64,256",
+                    "--report", report, "--plot-dir", str(tmp_path / "plots")]) == 0
+        assert calls == ["build_fast", "small_world_curve"]
+        assert (tmp_path / "plots" / "smallworld_curve.csv").exists()
+
+    def test_plotdata_subcommand_is_gone(self, fgn_csv, tmp_path):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["plotdata", "--input", fgn_csv, "--out-dir", str(tmp_path)])
+        assert exc_info.value.code == 2
 
 
 class TestEntryPoint:

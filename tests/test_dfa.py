@@ -15,6 +15,7 @@ from tsnet import (
     estimate_hurst,
     generate,
 )
+from tsnet.dfa import fit_hurst
 
 from oracles import dfa_polyfit
 
@@ -122,6 +123,17 @@ class TestHurst:
         assert np.all(r.fluctuations == 0.0)
         with pytest.raises(DegenerateFit):
             estimate_hurst(np.full(256, 3.0), scales=[8, 16], order=1)
+
+    def test_fit_of_fluctuation_is_estimate(self):
+        y = fixed_walk(1024)
+        for kwargs in ({}, {"scales": [8, 16, 32, 64, 128], "order": 1}):
+            fitted = fit_hurst(dfa_fluctuation(y, **kwargs))
+            direct = estimate_hurst(y, **kwargs)
+            for field in dataclasses.fields(direct):
+                got, want = getattr(fitted, field.name), getattr(direct, field.name)
+                assert np.array_equal(got, want), field.name
+        with pytest.raises(DegenerateFit):
+            fit_hurst(dfa_fluctuation(np.full(256, 3.0), scales=[8, 16], order=1))
 
     def test_result_fields_set(self):
         r = estimate_hurst(fixed_walk(512))
