@@ -137,6 +137,12 @@ def _cmd_fetch(args) -> int:
     )
     print(f"wrote {result.csv_path} ({result.rows} rows)")
     print(f"manifest {result.manifest_path} sha256={result.sha256[:16]}...")
+    if result.dropped_rows:
+        print(
+            f"warning: dropped {result.dropped_rows} dated row(s) whose day or "
+            "value cell does not parse (dropped_rows in the manifest)",
+            file=sys.stderr,
+        )
     if not result.vintage_matches:
         print(
             f"warning: row count {result.rows} differs from the reference "

@@ -7,18 +7,19 @@ records the source URL, SHA-256 of the raw payload, and row count.
 
 The publisher occasionally revises these files, so downstream numbers
 can drift between vintages; the manifest flags a row count that differs
-from the vintage this package's reference statistics were computed on.
+from the vintage this package's reference statistics were computed on,
+and counts the dated rows it drops because a cell does not parse.
+
+The network modules are imported only when a download runs, so importing
+this module (as the command line parser does, for ``DATASETS``) loads no
+network stack.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
-import socket
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -65,6 +66,7 @@ class FetchResult:
     sha256: str
     rows: int
     vintage_matches: bool
+    dropped_rows: int
 
 
 def fetch_dataset(
@@ -73,6 +75,8 @@ def fetch_dataset(
     out_dir: str | Path = ".",
     timeout: float = 30.0,
 ) -> FetchResult:
+    import hashlib
+
     if name not in DATASETS:
         raise InvalidParam(
             f"unknown dataset {name!r}; choose from {', '.join(sorted(DATASETS))}"
@@ -81,7 +85,7 @@ def fetch_dataset(
     source_url = url or spec.url
     raw = _download(source_url, timeout)
     header, rows = _parse_table(raw)
-    out_rows = _normalize_rows(header, rows, spec)
+    out_rows, dropped = _normalize_rows(header, rows, spec)
     if not out_rows:
         raise UnrecognizedFormat(f"no data rows recognized in {source_url}")
 
@@ -99,6 +103,7 @@ def fetch_dataset(
         "sha256": hashlib.sha256(raw).hexdigest(),
         "content_bytes": len(raw),
         "rows": len(out_rows),
+        "dropped_rows": dropped,
         "reference_rows": spec.reference_rows,
         "vintage_matches": len(out_rows) == spec.reference_rows,
         "retrieved_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -111,10 +116,15 @@ def fetch_dataset(
         sha256=manifest["sha256"],
         rows=len(out_rows),
         vintage_matches=manifest["vintage_matches"],
+        dropped_rows=dropped,
     )
 
 
 def _download(url: str, timeout: float) -> bytes:
+    import socket
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, headers={"User-Agent": "tsnet/0.1"})
     try:
         with urllib.request.urlopen(request, timeout=timeout) as resp:
@@ -173,7 +183,10 @@ def _int_or_none(cell: str) -> int | None:
 
 def _normalize_rows(
     header: list[str], rows: list[list[str]], spec: _Dataset
-) -> list[tuple]:
+) -> tuple[list[tuple], int]:
+    """Dated rows as ``(date, *values)`` sorted by date, and the count of
+    rows dropped although their year and month parse: a day or value cell
+    that does not.  Rows without a year and month (footnotes) are not data."""
     year_col = _find_column(header, "year")
     month_col = _find_column(header, "month")
     day_col = None if spec.monthly else _find_column(header, "day")
@@ -199,6 +212,7 @@ def _normalize_rows(
     value_cols = value_cols[: len(spec.value_names)]
 
     out = []
+    dropped = 0
     for row in rows:
         year = _int_or_none(row[year_col]) if year_col < len(row) else None
         month = _int_or_none(row[month_col]) if month_col < len(row) else None
@@ -209,6 +223,7 @@ def _normalize_rows(
         else:
             day = _int_or_none(row[day_col]) if day_col < len(row) else None
             if day is None:
+                dropped += 1
                 continue
             date = f"{year:04d}-{month:02d}-{day:02d}"
         values = []
@@ -218,10 +233,11 @@ def _normalize_rows(
                 break
             values.append(repr(v))
         if len(values) != len(value_cols):
+            dropped += 1
             continue
         out.append((date, *values))
     out.sort(key=lambda r: r[0])
-    return out
+    return out, dropped
 
 
 def _float_or_none(cell: str) -> float | None:

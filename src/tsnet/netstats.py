@@ -182,20 +182,20 @@ def clustering(g: VisibilityGraph) -> ClusteringReport:
 def assortativity(g: VisibilityGraph) -> float:
     """Pearson correlation of degrees across edges.
 
-    Computed from exact integer sums over the edge list:
+    Computed from exact integer sums over the edges:
         r = (4 M A - B^2) / (2 M C - B^2)
     with A = sum jk, B = sum (j + k), C = sum (j^2 + k^2) over edges
-    whose endpoint degrees are j, k.  Exact up to the final division.
+    whose endpoint degrees are j, k.  A node of degree d ends d edges, so
+    B = sum d^2 and C = sum d^3 over nodes, and 2A is the sum of
+    deg(row) * deg(neighbor) over the CSR's directed entries.  Exact up to
+    the final division.
     """
-    edges = g.edge_array()
     deg = g.degrees().astype(np.int64)
-    j = deg[edges[:, 0]]
-    k = deg[edges[:, 1]]
-    a = int(np.sum(j * k))
-    b = int(np.sum(j + k))
-    c = int(np.sum(j * j + k * k))
+    a2 = int(np.dot(np.repeat(deg, deg), deg[g.indices]))
+    b = int(np.dot(deg, deg))
+    c = int(np.dot(deg, deg * deg))
     m = g.m
-    num = 4 * m * a - b * b
+    num = 2 * m * a2 - b * b
     den = 2 * m * c - b * b
     if den == 0:
         raise ZeroDegreeVariance("all edge-endpoint degrees equal")

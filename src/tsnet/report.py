@@ -83,7 +83,7 @@ def _section(render, *results):
     return out
 
 
-def _small_world_section(curve, g, clust) -> dict:
+def _small_world_section(curve, full, clust) -> dict:
     return {
         "sizes": curve.sizes,
         "lengths": curve.lengths,
@@ -91,9 +91,7 @@ def _small_world_section(curve, g, clust) -> dict:
         "intercept": curve.intercept,
         "r2": curve.r2,
         "flat": curve.flat if curve.slope is not None else None,
-        "average_path_full": float(curve.lengths[-1])
-        if int(curve.sizes[-1]) == g.n
-        else all_pairs_average_path(g),
+        "average_path_full": full,
         "verdict": small_world_verdict(curve, clust.average)
         if curve.r2 is not None and not isinstance(clust, TsnetError)
         else None,
@@ -122,7 +120,10 @@ def run_stages(
 ) -> dict:
     """Run the pipeline on one series: each stage's result by name, or the
     :class:`TsnetError` that stopped it (``Unavailable`` where the graph
-    failed).  ``curve`` is None without ``small_world``.
+    failed).  ``curve`` and ``average_path`` are None without
+    ``small_world``.  ``average_path`` is the whole graph's average path
+    length: the curve's last length when that prefix is the whole graph,
+    else one all-pairs run, and the curve's own error where it failed.
     """
     stages = {"label": ts.label, "summary": summary(ts)}
     stages["dfa"] = run_stage(
@@ -133,11 +134,16 @@ def run_stages(
     stages["tail"] = run_stage(lambda d: fit_powerlaw_tail(d, k_min=tail_kmin), dist)
     stages["clustering"] = run_stage(clustering, graph)
     stages["assortativity"] = run_stage(assortativity, graph)
-    stages["curve"] = (
-        run_stage(lambda g: small_world_curve(g, sizes=prefix_sizes), graph)
-        if small_world
-        else None
-    )
+    stages["curve"] = stages["average_path"] = None
+    if small_world:
+        curve = run_stage(lambda g: small_world_curve(g, sizes=prefix_sizes), graph)
+        stages["curve"] = stages["average_path"] = curve
+        if not isinstance(curve, TsnetError):  # so the graph did not fail either
+            stages["average_path"] = run_stage(
+                lambda: float(curve.lengths[-1])
+                if int(curve.sizes[-1]) == graph.n
+                else all_pairs_average_path(graph)
+            )
     return stages
 
 
@@ -183,6 +189,8 @@ def build_report(stages: dict, source: dict | None = None) -> dict:
         ),
         "assortativity": _section(lambda r: {"r": r}, stages["assortativity"]),
         "small_world": _section(
-            lambda c, g: _small_world_section(c, g, clust), curve, graph
+            lambda c, full: _small_world_section(c, full, clust),
+            curve,
+            stages["average_path"],
         ) if curve is not None else None,
     }

@@ -12,10 +12,16 @@ Two builders:
 * :func:`build_naive` evaluates the criterion pair by pair via running
   extreme slopes anchored at each left endpoint.  O(N^2); the reference.
 * :func:`build_fast` sweeps out from each sample to its nearest higher
-  samples, and each edge lies in the sweep of its higher endpoint.  Its
-  cost is the total sweep length: about 19N slopes on fGn, 183N on a
-  random walk and O(N^2) on monotone or concave stretches.  The builders
-  round different slopes, so they can disagree within rounding of a chord.
+  samples, and each edge lies in the sweep of its higher endpoint.  The
+  nearest higher samples come from binary lifting over a sparse table of
+  range maxima, O(N log N) array work.  The sweep's cost is its total
+  length: about 19N slopes on fGn, 183N on a random walk and O(N^2) on
+  monotone or concave stretches.  The builders round different slopes, so
+  they can disagree within rounding of a chord.
+
+Both builders hand their edges to one CSR step, which packs each directed
+edge ``src -> dst`` as the int64 key ``src * N + dst``, sorts the keys in
+place and turns them into the neighbor lists with an in-place remainder.
 """
 
 from __future__ import annotations
@@ -47,7 +53,12 @@ class VisibilityGraph:
     def __post_init__(self):
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        if indptr.shape != (self.n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
+        if (
+            indptr.shape != (self.n + 1,)
+            or indptr[0] != 0
+            or indptr[-1] != indices.size
+            or np.any(indptr[1:] < indptr[:-1])
+        ):
             raise ValueError("malformed CSR index pointer")
         if indices.size != 2 * self.m:
             raise ValueError(f"{indices.size} directed entries for m={self.m} edges")
@@ -57,8 +68,12 @@ class VisibilityGraph:
             rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
             if np.any(indices == rows):
                 raise ValueError("self-loop in adjacency")
-            same_row = rows[1:] == rows[:-1]
-            if np.any(np.diff(indices)[same_row] <= 0):
+            del rows
+            rising = indices[1:] > indices[:-1]
+            starts = indptr[1:-1]
+            # a row may start below its predecessor's end; empty rows end nothing
+            rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+            if not rising.all():
                 raise ValueError("neighbor lists must be strictly ascending")
         indptr.flags.writeable = False
         indices.flags.writeable = False
@@ -87,13 +102,40 @@ class VisibilityGraph:
 
 
 def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> VisibilityGraph:
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    order = np.argsort(src * n + dst)  # pairs are unique, so any sort kind agrees
-    counts = np.bincount(src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return VisibilityGraph(n=n, indptr=indptr, indices=dst[order], m=int(u.size))
+    """CSR of the undirected edges ``(u[i], v[i])``, each listed once."""
+    m = u.size
+    key = np.empty(2 * m, dtype=np.int64)  # directed edge src -> dst as src * n + dst
+    np.multiply(u, n, out=key[:m])
+    key[:m] += v
+    np.multiply(v, n, out=key[m:])
+    key[m:] += u
+    key.sort()  # keys are unique, so any sort kind agrees
+    indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
+    return VisibilityGraph(n=n, indptr=indptr, indices=np.remainder(key, n, out=key), m=m)
+
+
+def _nearest_higher(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lo, hi)``: each sample's nearest left sample with ``y >=`` its own
+    and nearest right sample with ``y >`` its own, -1 and n where none is.
+
+    Binary lifting over a sparse table of range maxima, ``peaks[k][i] =
+    max(y[i : i + 2**k])``: each side starts next to its sample and, for k
+    from the top down, skips the 2**k samples ahead when none of them is
+    high enough.  Every sample moves at once, so the work is O(n log n) in
+    array operations.
+    """
+    n = y.size
+    peaks = [y]
+    while 1 << len(peaks) <= n:
+        w = 1 << (len(peaks) - 1)
+        peaks.append(np.maximum(peaks[-1][:-w], peaks[-1][w:]))
+    lo = np.arange(n)  # one past the nearest sample not yet skipped
+    hi = np.arange(1, n + 1)  # the nearest sample not yet skipped
+    for k in range(len(peaks) - 1, -1, -1):
+        w, top = 1 << k, peaks.pop()  # top[i] covers [i, i + w), i <= n - w
+        np.add(hi, w, out=hi, where=(hi <= n - w) & (top[np.minimum(hi, n - w)] <= y))
+        np.subtract(lo, w, out=lo, where=(lo >= w) & (top[np.maximum(lo - w, 0)] < y))
+    return lo - 1, hi
 
 
 def build_naive(ts) -> VisibilityGraph:
@@ -138,19 +180,17 @@ def build_fast(ts) -> VisibilityGraph:
     n = y.size
     if n < 2:
         raise SeriesTooShort(f"need at least 2 observations, got {n}")
+    # the sweep's bookkeeping is freed before the CSR is built
+    return _graph_from_edges(n, *_sweep(y))
 
-    values = y.tolist()
-    lo, hi = [], [n] * n
-    stack: list[int] = []  # indices of non-increasing values
-    for i, v in enumerate(values):
-        while stack and values[stack[-1]] < v:
-            hi[stack.pop()] = i
-        lo.append(stack[-1] if stack else -1)
-        stack.append(i)
 
+def _sweep(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges ``(u, v)`` of :func:`build_fast`'s sweep, each found once."""
+    n = y.size
+    lo, hi = _nearest_higher(y)
     # side k < n is [lo + 1, p) of p = k, side k >= n is (p, hi) of p = k - n
     p = np.arange(n)
-    length = np.concatenate([p - np.array(lo) - 1, np.array(hi) - p - 1])
+    length = np.concatenate([p - lo - 1, hi - p - 1])
     sides = np.argsort(length)[np.count_nonzero(length == 0):]  # shortest first
     anchor, step, length = sides % n, np.where(sides < n, -1, 1), length[sides]
 
@@ -165,12 +205,18 @@ def build_fast(ts) -> VisibilityGraph:
         d = np.arange(1, length[e - 1] + 1)
         side = length[c:e, None]
         at = anchor[c:e, None]
-        x = at + step[c:e, None] * np.minimum(d, side)
-        s = (y[x] - y[at]) / d
+        x = np.minimum(d, side)
+        x *= step[c:e, None]
+        x += at
+        s = y[x]
+        s -= y[at]
+        s /= d
         hit = d <= side  # distance 1 is always a hit
         hit[:, 1:] &= s[:, 1:] > np.maximum.accumulate(s, axis=1)[:, :-1]
         u_chunks.append(np.broadcast_to(at, s.shape)[hit])
         v_chunks.append(x[hit])
         c = e
 
-    return _graph_from_edges(n, np.concatenate(u_chunks), np.concatenate(v_chunks))
+    u = np.concatenate(u_chunks)
+    del u_chunks
+    return u, np.concatenate(v_chunks)

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written for clarity over speed and shares no code
-with the library: visibility by the chord definition, paths by
+with the library: visibility by the chord definition, nearest higher
+samples by a monotone stack, paths by
 Floyd-Warshall, triangles by triple enumeration, assortativity by the
 direct correlation sums, DFA by per-window polyfit, and the expected
 natural-visibility mean degree of iid uniform noise by exact integration.
@@ -43,6 +44,22 @@ def brute_visibility_edges(y) -> set[tuple[int, int]]:
         if visible:
             edges.add((a, b))
     return edges
+
+
+def nearest_higher_stack(y) -> tuple[list[int], list[int]]:
+    """``(lo, hi)`` by one pass of a monotone stack: each sample's nearest
+    left sample with ``y >=`` its own and nearest right sample with ``y >``
+    its own, -1 and n where none is."""
+    values = [float(v) for v in y]
+    n = len(values)
+    lo, hi = [], [n] * n
+    stack: list[int] = []  # indices of non-increasing values
+    for i, v in enumerate(values):
+        while stack and values[stack[-1]] < v:
+            hi[stack.pop()] = i
+        lo.append(stack[-1] if stack else -1)
+        stack.append(i)
+    return lo, hi
 
 
 def graph_from_pairs(n: int, pairs) -> VisibilityGraph:

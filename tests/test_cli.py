@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -393,6 +397,28 @@ class TestEntryPoint:
         assert len(commands) >= 4
         for argv in commands:
             assert callable(build_parser().parse_args(argv).func)
+
+    def test_analyze_loads_no_network_stack(self, fgn_csv, tmp_path):
+        # a fresh interpreter, so no other test's imports count
+        script = textwrap.dedent("""
+            import sys
+            import tsnet.cli
+            NET = ("urllib.request", "http.client", "ssl", "socket", "email")
+            print(sorted(m for m in NET if m in sys.modules))
+            argv = ["analyze", "--input", sys.argv[1], "--small-world",
+                    "--report", sys.argv[2], "--plot-dir", sys.argv[3]]
+            assert tsnet.cli.main(argv) == 0
+            print(sorted(m for m in NET if m in sys.modules))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run(
+            [sys.executable, "-c", script, fgn_csv,
+             str(tmp_path / "r.json"), str(tmp_path / "plots")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.splitlines() == ["[]", "[]"]
 
     def test_version_module_consistency(self):
         import tsnet

@@ -28,7 +28,7 @@ MONTHLY_US_RAW = (
 MONTHLY_CN_RAW = (
     "Year,Month,China_EPU\n"
     "1995,1,120.0\n"
-    "1995,2,,\n"  # blank value row is dropped
+    "1995,2,,\n"  # blank value row is dropped, and counted
     "1995,3,135.5\n"
 )
 
@@ -54,6 +54,7 @@ class TestFetchDataset:
             DAILY_RAW.encode()
         ).hexdigest()
         assert manifest["rows"] == 3
+        assert manifest["dropped_rows"] == 0  # a footnote is not a dated row
         assert manifest["reference_rows"] == 12368
 
     def test_short_row_before_data_skipped(self, tmp_path):
@@ -85,6 +86,15 @@ class TestFetchDataset:
         result = fetch_dataset("cn-monthly", url=url, out_dir=tmp_path / "out")
         lines = result.csv_path.read_text().splitlines()
         assert lines == ["date,epu", "1995-01,120.0", "1995-03,135.5"]
+        assert result.dropped_rows == 1
+        assert json.loads(result.manifest_path.read_text())["dropped_rows"] == 1
+
+    def test_unparseable_day_or_value_counted(self, tmp_path):
+        raw = DAILY_RAW + "1985,1,x,90.0\n1985,1,4,n/a\n1985,1,5,nan\n"
+        url = file_url(tmp_path, "daily.csv", raw)
+        result = fetch_dataset("us-daily", url=url, out_dir=tmp_path / "out")
+        assert result.rows == 3
+        assert result.dropped_rows == 3
 
     def test_unknown_dataset(self):
         with pytest.raises(InvalidParam):
@@ -117,6 +127,22 @@ class TestFetchCli:
         captured = capsys.readouterr()
         assert "us-daily.csv" in captured.out
         assert "differs from the reference" in captured.err
+
+    def test_dropped_rows_warning(self, tmp_path, capsys):
+        url = file_url(tmp_path, "cn.csv", MONTHLY_CN_RAW)
+        assert main(["fetch", "cn-monthly", "--url", url,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "dropped" in line] == [
+            "warning: dropped 1 dated row(s) whose day or value cell does not "
+            "parse (dropped_rows in the manifest)"
+        ]
+
+    def test_no_dropped_rows_no_warning(self, tmp_path, capsys):
+        url = file_url(tmp_path, "us.csv", MONTHLY_US_RAW)
+        assert main(["fetch", "us-monthly", "--url", url,
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        assert "dropped" not in capsys.readouterr().err
 
     def test_network_failure_exit_1(self, tmp_path, capsys):
         assert main(["fetch", "us-daily",

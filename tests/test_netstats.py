@@ -76,6 +76,28 @@ class TestOracleEquivalence:
         )
 
 
+@st.composite
+def _any_graphs(draw):
+    # isolated nodes allowed, so some CSR rows are empty
+    n = draw(st.integers(2, 60))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=1, max_size=3 * n))
+    return graph_from_pairs(n, [(a, b) for a, b in pairs if a != b])
+
+
+class TestAssortativityOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_any_graphs())
+    def test_matches_direct_correlation(self, g):
+        deg = g.degrees()
+        ends = deg[g.indices]  # one degree per edge end
+        if g.m == 0 or np.all(ends == ends[0]):
+            with pytest.raises(ZeroDegreeVariance):
+                assortativity(g)
+            return
+        assert assortativity(g) == pytest.approx(assortativity_direct(g), rel=1e-9, abs=1e-12)
+
+
 class TestDegreeDistribution:
     def test_pdf_properties(self, rng):
         g = build_fast(rng.normal(size=500))

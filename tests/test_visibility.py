@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
-from tsnet import MomentOverflow, SeriesTooShort, TimeSeries, build_fast, build_naive
+from tsnet import (
+    GeneratorSpec,
+    MomentOverflow,
+    SeriesTooShort,
+    TimeSeries,
+    build_fast,
+    build_naive,
+    generate,
+)
 from tsnet import visibility
 from tsnet.visibility import VisibilityGraph
 
@@ -14,6 +23,7 @@ from oracles import (
     brute_visibility_edges,
     edge_set,
     iid_uniform_visibility_probability,
+    nearest_higher_stack,
     neighbors,
 )
 
@@ -213,6 +223,63 @@ class TestFastBuilderForms:
                 g.prefix(k)
 
 
+def _nearest_higher_series():
+    series = {
+        "ascending": np.arange(40.0),
+        "descending": -np.arange(40.0),
+        "plateau": np.array([1.0, 3.0, 3.0, 3.0, 2.0, 3.0, 3.0, 0.0, 3.0]),
+        "constant": np.full(33, 2.5),
+        "valley": np.abs(np.arange(-20.0, 21.0)),
+        "sqrt": np.sqrt(np.arange(1.0, 65.0)),
+    }
+    rng = np.random.default_rng(4)
+    for k in range(1, 8):  # lengths 2**k - 1, 2**k and 2**k + 1 around each table level
+        for n in {max(2, (1 << k) - 1), 1 << k, (1 << k) + 1}:
+            series[f"n={n}"] = rng.integers(0, 3, size=n).astype(float)
+    return series
+
+
+NEAREST_HIGHER_SERIES = _nearest_higher_series()
+
+
+class TestNearestHigher:
+    @pytest.mark.parametrize("name", sorted(NEAREST_HIGHER_SERIES))
+    def test_matches_monotone_stack(self, name):
+        y = NEAREST_HIGHER_SERIES[name]
+        lo, hi = visibility._nearest_higher(y)
+        expected_lo, expected_hi = nearest_higher_stack(y)
+        assert lo.tolist() == expected_lo
+        assert hi.tolist() == expected_hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda k: st.lists(st.integers(0, k), min_size=2, max_size=130)
+        )
+    )
+    def test_few_distinct_values(self, values):
+        y = np.array(values, dtype=float)
+        lo, hi = visibility._nearest_higher(y)
+        expected_lo, expected_hi = nearest_higher_stack(y)
+        assert lo.tolist() == expected_lo
+        assert hi.tolist() == expected_hi
+
+
+class TestBuildFastMemory:
+    def test_traced_peak_at_daily_size(self):
+        # the daily EPU length; the sweep and the packed-key CSR need about
+        # 2.4 MiB, and staging copies of the edges push it past the bound
+        ts = generate(GeneratorSpec(kind="fgn", n=12368, seed=7, params={"hurst": 0.8}))
+        build_fast(ts)
+        tracemalloc.start()
+        try:
+            build_fast(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
+
+
 class TestGraphInvariants:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -285,6 +352,35 @@ class TestVisibilityGraphValidation:
                 n=3,
                 indptr=np.array([0, 2, 3, 4], dtype=np.int64),
                 indices=np.array([2, 1, 0, 0], dtype=np.int64),
+                m=2,
+            )
+
+    def test_rejects_unsorted_row_after_leading_empty_rows(self):
+        # the only row boundary sits at entry 0, which has no predecessor
+        with pytest.raises(ValueError, match="ascending"):
+            VisibilityGraph(
+                n=3,
+                indptr=np.array([0, 0, 0, 2], dtype=np.int64),
+                indices=np.array([1, 0], dtype=np.int64),
+                m=1,
+            )
+
+    @pytest.mark.parametrize("row", [[1, 2], [0, 1]], ids=["first", "last"])
+    def test_rejects_self_loop_at_row_end(self, row):
+        with pytest.raises(ValueError, match="self-loop"):
+            VisibilityGraph(
+                n=3,
+                indptr=np.array([0, 1, 3, 4], dtype=np.int64),
+                indices=np.array([1, *row, 1], dtype=np.int64),
+                m=2,
+            )
+
+    def test_rejects_duplicate_neighbor(self):
+        with pytest.raises(ValueError, match="ascending"):
+            VisibilityGraph(
+                n=3,
+                indptr=np.array([0, 2, 3, 4], dtype=np.int64),
+                indices=np.array([1, 1, 0, 0], dtype=np.int64),
                 m=2,
             )
 
