@@ -3,7 +3,8 @@
 Everything here is written for clarity over speed and shares no code
 with the library: visibility by the chord definition, nearest higher
 samples by a monotone stack, paths by
-Floyd-Warshall, triangles by triple enumeration, assortativity by the
+Floyd-Warshall, triangles by triple enumeration, dominators by set
+inclusion of closed neighborhoods, assortativity by the
 direct correlation sums, DFA by per-window polyfit, and the expected
 natural-visibility mean degree of iid uniform noise by exact integration.
 ``neighbors`` and ``edge_set`` read a graph's CSR for the tests.
@@ -111,6 +112,25 @@ def clustering_by_triples(g: VisibilityGraph):
         )
         per[i] = 2.0 * closed / (k * (k - 1))
     return per
+
+
+def closed_neighborhoods(g: VisibilityGraph) -> list[set[int]]:
+    """N[u], node ``u`` and its neighbors, as a Python set per node."""
+    return [{u, *neighbors(g, u).tolist()} for u in range(g.n)]
+
+
+def dominators_by_sets(g: VisibilityGraph) -> np.ndarray:
+    """Each node's smallest neighbor w with N[u] a subset of N[w], where an
+    equal N[w] counts only for w < u; ``g.n`` where no neighbor qualifies."""
+    closed = closed_neighborhoods(g)
+    dom = []
+    for u, mine in enumerate(closed):
+        wins = [
+            w for w in sorted(mine - {u})
+            if mine <= closed[w] and (mine != closed[w] or w < u)
+        ]
+        dom.append(wins[0] if wins else g.n)
+    return np.array(dom, dtype=np.int64)
 
 
 def assortativity_direct(g: VisibilityGraph) -> float:

@@ -2,9 +2,9 @@
 
 Every criterion prints a single ``[PASS]``/``[FAIL]``/``[SKIP]`` line
 with capture suspended, so verdicts appear on the terminal even for
-passing tests.  Criterion 6 depends on downloading public index data;
-when the data is unreachable or its format unrecognized it is skipped
-with a warning, and a synthetic stand-in (6b) still exercises the
+passing tests.  Criterion 6 needs the public index data in the directory
+named by ``TSNET_EPU_DATA``; without it the test is skipped with the
+missing file named, and a synthetic stand-in (6b) still exercises the
 full-size runtime envelope.  Criterion 7 compares the natural visibility
 graph of iid uniform noise with its exact expected mean degree, which
 ``oracles.py`` integrates in closed form (4.0 is the horizontal visibility
@@ -22,7 +22,6 @@ import pytest
 from tsnet import (
     GeneratorSpec,
     TimeSeries,
-    TsnetError,
     all_pairs_average_path,
     assortativity,
     build_fast,
@@ -41,7 +40,6 @@ from tsnet import (
     summary,
 )
 from tsnet.cli import main as cli_main
-from tsnet.fetch import fetch_dataset
 
 from oracles import (
     assortativity_direct,
@@ -291,19 +289,21 @@ EPU_REFERENCE = {
 DAILY_SMALL_WORLD = {"slope": 0.626, "intercept": 0.405}
 
 
-def _resolve_epu_files(tmp_path):
-    """Local directory via TSNET_EPU_DATA, else live fetch; None + reason."""
+def _resolve_epu_files():
+    """The index CSVs in the TSNET_EPU_DATA directory; None + reason.
+
+    Reads only that directory and never downloads, so the suite stays
+    offline; ``tsnet fetch NAME --out-dir DIR`` writes the files.
+    """
     found = {}
     env_dir = os.environ.get("TSNET_EPU_DATA", "")
     for name in ("us-daily", "us-monthly", "cn-monthly"):
-        local = Path(env_dir) / f"{name}.csv" if env_dir else None
-        if local is not None and local.exists():
-            found[name] = local
-            continue
-        try:
-            found[name] = fetch_dataset(name, out_dir=tmp_path, timeout=20).csv_path
-        except TsnetError as exc:
-            return None, f"{name}: {exc}"
+        if not env_dir:
+            return None, f"{name}.csv not found: TSNET_EPU_DATA is unset"
+        local = Path(env_dir) / f"{name}.csv"
+        if not local.exists():
+            return None, f"{local} not found"
+        found[name] = local
     return found, ""
 
 
@@ -320,9 +320,9 @@ def _vintage_window(ts: TimeSeries, lo: str, hi: str, n_ref: int):
     )
 
 
-def test_criterion_6_reproduction(tmp_path, announce, check):
+def test_criterion_6_reproduction(announce, check):
     name6 = "criterion 6 (published-statistics reproduction)"
-    files, reason = _resolve_epu_files(tmp_path)
+    files, reason = _resolve_epu_files()
     if files is None:
         announce(name6, "SKIP", f"dataset unavailable ({reason})")
         pytest.skip(f"dataset unavailable: {reason}")

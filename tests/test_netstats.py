@@ -9,6 +9,7 @@ from tsnet import (
     DegenerateFit,
     DegreeDistribution,
     DisconnectedGraph,
+    GeneratorSpec,
     InsufficientTailPoints,
     InvalidParam,
     ZeroDegreeVariance,
@@ -19,15 +20,19 @@ from tsnet import (
     default_prefix_sizes,
     degree_distribution,
     fit_powerlaw_tail,
+    generate,
     small_world_curve,
     small_world_verdict,
 )
 
 from oracles import (
     assortativity_direct,
+    closed_neighborhoods,
     clustering_by_triples,
+    dominators_by_sets,
     floyd_warshall_average_path,
     graph_from_pairs,
+    neighbors,
 )
 
 
@@ -152,6 +157,15 @@ class TestPaths:
         with pytest.raises(DisconnectedGraph):
             all_pairs_average_path(g)
 
+    def test_edgeless_and_single_node_graphs(self):
+        # the dominators of an edgeless graph come before the isolated-node check
+        with pytest.raises(DisconnectedGraph, match="isolated node"):
+            all_pairs_average_path(graph_from_pairs(3, []))
+        with pytest.raises(DisconnectedGraph, match="isolated node"):
+            small_world_curve(graph_from_pairs(3, []))
+        with pytest.raises(InvalidParam):
+            all_pairs_average_path(graph_from_pairs(1, []))
+
     def test_stale_thread_env_ignored(self, rng, monkeypatch):
         # the search reads no settings from the environment, so a stale
         # TSNET_THREADS neither fails nor changes the value
@@ -174,6 +188,32 @@ def _star_graph(n):
     return graph_from_pairs(n, [(0, i) for i in range(1, n)])
 
 
+def _wheel_graph(n):
+    # a hub on a cycle: the hub dominates every rim node
+    rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
+    return graph_from_pairs(n, [(0, i) for i in range(1, n)] + rim)
+
+
+def _twin_graph(n):
+    # a cycle of n // 2 adjacent twin pairs with equal closed neighborhoods,
+    # where only the smaller twin may dominate the other
+    ring = n // 2
+    pairs = [(2 * i, 2 * i + 1) for i in range(ring)]
+    for i in range(ring):
+        j = (i + 1) % ring
+        pairs += [(2 * i + a, 2 * j + b) for a in (0, 1) for b in (0, 1)]
+    return graph_from_pairs(2 * ring, pairs)
+
+
+def _barbell_graph(n):
+    # two cliques of n // 3 nodes joined by a path through the rest
+    size = n // 3
+    pairs = list(itertools.combinations(range(size), 2))
+    pairs += list(itertools.combinations(range(n - size, n), 2))
+    pairs += [(i, i + 1) for i in range(size - 1, n - size)]
+    return graph_from_pairs(n, pairs)
+
+
 def _spike_graph(n):
     # flat series with one peak: a path along the floor (collinear points
     # block each other) plus a hub that sees every sample
@@ -189,15 +229,23 @@ def _walk_graph(n, rng):
 
 
 def _caterpillar_graph():
-    # spine nodes 0..6 of degree 2..8 with pendant legs, and node 7, a hub
-    # with 20 legs at the spine's end: the rows of degree 1..8 fill one
-    # chunk each, up to slot 0, 1, ..., 7
+    # spine nodes 0..6 with 1..7 legs of two nodes each, and node 7, a hub
+    # with 20 legs at the spine's end.  A leg's far node is dominated by
+    # its near node, nothing else is, so the spine nodes read 1..8 entries
+    # and fill one chunk each, up to slot 0, 1, ..., 7
     pairs = [(j, j + 1) for j in range(7)]
-    legs = [1, 1, 2, 3, 4, 5, 6, 20]  # degree minus spine neighbours
+    legs = [1, 1, 2, 3, 4, 5, 6, 20]  # reads minus spine neighbours
     for v, count in enumerate(legs):
         for _ in range(count):
-            pairs.append((v, len(pairs) + 1))
+            near = len(pairs) + 1
+            pairs += [(v, near), (near, near + 1)]
     return graph_from_pairs(len(pairs) + 1, pairs)
+
+
+def _reads(g):
+    # undominated neighbors per node: the entries all-pairs reads
+    dom = netstats._dominators(g)
+    return np.array([np.count_nonzero(dom[neighbors(g, u)] >= g.n) for u in range(g.n)])
 
 
 def _spider_graph(legs, length):
@@ -232,6 +280,9 @@ class TestBitParallelBfs:
             (_complete_graph, 129),  # one level; dense enough for two passes
             (_star_graph, 300),
             (_spike_graph, 257),
+            (_wheel_graph, 130),
+            (_twin_graph, 80),
+            (_barbell_graph, 60),
         ],
     )
     def test_adversarial_graphs(self, make, n):
@@ -252,10 +303,11 @@ class TestBitParallelBfs:
 
     @pytest.mark.parametrize("n", [8, 9, 10, 17, 18])
     def test_complete_graphs_at_chunk_edges(self, n):
-        # degree 7, 8, 9, 16, 17: one short chunk, one full chunk, a full
-        # chunk plus one, two full chunks, two full chunks plus one; at 17
-        # and 18 nodes no row has one chunk, so every slot ends at the last
+        # every node but 0 is dominated by node 0, so node 0 has no
+        # undominated neighbor and reads its first neighbor, and every
+        # other node reads node 0: all pairs are reached at level 1
         g = _complete_graph(n)
+        assert netstats._dominators(g).tolist() == [n] + [0] * (n - 1)
         assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
 
     def test_path_has_no_multi_chunk_row(self):
@@ -265,8 +317,18 @@ class TestBitParallelBfs:
         assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
 
     def test_star_hub_spans_many_chunks(self):
-        g = _star_graph(300)
-        assert -(-g.degrees().max() // netstats._CHUNK) == 38
+        # a star's leaves are dominated by its hub, so the hub here has
+        # legs of two nodes: it reads all 300 near nodes, 38 chunks
+        g = _spider_graph(300, 2)
+        assert -(-_reads(g).max() // netstats._CHUNK) == 38
+        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+
+    @pytest.mark.parametrize("legs", [7, 8, 9, 16, 17])
+    def test_hub_reads_at_chunk_edges(self, legs):
+        # one short chunk, one full chunk, a full chunk plus one, two full
+        # chunks, two full chunks plus one
+        g = _spider_graph(legs, 3)
+        assert _reads(g)[0] == legs
         assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
 
     def test_walk_prefixes(self):
@@ -286,9 +348,9 @@ class TestBitParallelBfs:
     def test_degree_ladder(self, chunk, monkeypatch):
         # at _CHUNK = 8, every per-slot end of the one-chunk rows differs
         g = _caterpillar_graph()
-        deg = g.degrees()
-        assert sorted(set(deg[deg <= 8])) == list(range(1, 9))
-        assert deg.max() > 16
+        reads = _reads(g)
+        assert sorted(set(reads[reads <= 8])) == list(range(1, 9))
+        assert reads.max() > 16
         expected = floyd_warshall_average_path(g)
         monkeypatch.setattr(netstats, "_CHUNK", chunk)
         assert all_pairs_average_path(g) == expected
@@ -326,6 +388,68 @@ class TestBitParallelBfs:
         assert g.degrees().min() >= 1
         with pytest.raises(DisconnectedGraph):
             all_pairs_average_path(g)
+
+
+def _series(kind, n, rng):
+    if kind == "ramp":
+        return np.arange(n, dtype=np.float64)
+    if kind == "plateaus":  # flat runs, whose collinear samples block each other
+        return np.repeat(rng.normal(size=-(-n // 7)), 7)[:n]
+    if kind == "ties":
+        return rng.integers(-3, 4, size=n) * 3.7
+    if kind == "walk1":  # a random walk rounded to one decimal
+        return np.round(np.cumsum(rng.normal(size=n)), 1)
+    return rng.normal(size=n)
+
+
+def _fgn(n, seed):
+    return generate(GeneratorSpec(kind="fgn", n=n, seed=seed, params={"hurst": 0.8})).values
+
+
+class TestDominators:
+    """``_dominators`` against set inclusion of closed neighborhoods."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_any_graphs(), _connected_graphs()))
+    def test_matches_sets_on_random_graphs(self, g):
+        assert np.array_equal(netstats._dominators(g), dominators_by_sets(g))
+
+    @pytest.mark.parametrize("kind", ["ramp", "plateaus", "ties", "walk1"])
+    def test_matches_sets_on_series(self, kind, rng):
+        for n in (2, 3, 50, 400):
+            g = build_fast(_series(kind, n, rng))
+            assert np.array_equal(netstats._dominators(g), dominators_by_sets(g))
+
+    def test_twins_keep_the_smaller(self):
+        dom = netstats._dominators(_twin_graph(12))
+        assert dom.tolist() == [12, 0, 12, 2, 12, 4, 12, 6, 12, 8, 12, 10]
+
+    def test_hold_on_every_prefix(self):
+        # the full graph's dominators below k still dominate in prefix k
+        rng = np.random.default_rng(17)
+        kinds = ["normal", "ramp", "plateaus", "ties", "walk1"]
+        for i in range(50):
+            g = build_fast(_series(kinds[i % 5], int(rng.integers(64, 240)), rng))
+            dom = netstats._dominators(g)
+            for k in default_prefix_sizes(g.n):
+                closed = closed_neighborhoods(g.prefix(k))
+                for u in np.flatnonzero(dom[:k] < k):
+                    w = int(dom[u])
+                    assert w in closed[u] and closed[u] <= closed[w]
+
+    @pytest.mark.parametrize("y", [
+        pytest.param(lambda: _fgn(4096, 7), id="fgn-4096-seed7"),
+        pytest.param(lambda: _fgn(4096, 11), id="fgn-4096-seed11"),
+        # the benchmark's walk: a reference walk plus 1/50 of a seeded one
+        pytest.param(lambda: np.cumsum(_fgn(2048, 0)) + 0.02 * np.cumsum(_fgn(2048, 7)),
+                     id="walk-2048-seed7"),
+    ])
+    def test_all_pairs_reads_under_sixty_percent(self, y):
+        # exact, host-independent cost gate: the entries read from level 2
+        # on (0.56-0.58 of them on these graphs when this gate was set)
+        g = build_fast(y())
+        dom = netstats._dominators(g)
+        assert np.count_nonzero(dom[g.indices] >= g.n) <= 0.60 * 2 * g.m
 
 
 _KITE = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
@@ -416,6 +540,14 @@ class TestSmallWorld:
         assert curve.slope > 0.3
         assert curve.r2 > 0.9
         assert not curve.flat
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "walk1", "plateaus"])
+    def test_lengths_match_floyd_warshall(self, kind, rng):
+        # every prefix reads by the full graph's dominators
+        g = build_fast(_series(kind, 150, rng))
+        curve = small_world_curve(g)
+        expected = [floyd_warshall_average_path(g.prefix(int(k))) for k in curve.sizes]
+        assert curve.lengths.tolist() == expected
 
     def test_single_size_has_no_fit(self, rng):
         curve = small_world_curve(build_fast(rng.normal(size=128)), sizes=[128])
