@@ -31,7 +31,7 @@ from .dfa import (
     classify_persistence,
     default_scales,
     dfa_fluctuation,
-    estimate_hurst,
+    fit_hurst,
 )
 from .netstats import (
     ClusteringReport,
@@ -76,7 +76,7 @@ __all__ = [
     "build_fast",
     "DfaResult",
     "dfa_fluctuation",
-    "estimate_hurst",
+    "fit_hurst",
     "default_scales",
     "classify_persistence",
     "DegreeDistribution",

@@ -139,7 +139,7 @@ def _cmd_fetch(args) -> int:
     print(f"manifest {result.manifest_path} sha256={result.sha256[:16]}...")
     if result.dropped_rows:
         print(
-            f"warning: dropped {result.dropped_rows} dated row(s) whose day or "
+            f"warning: dropped {result.dropped_rows} dated row(s) whose date or "
             "value cell does not parse (dropped_rows in the manifest)",
             file=sys.stderr,
         )

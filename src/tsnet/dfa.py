@@ -87,11 +87,6 @@ def _fluctuation_at_scale(profile: np.ndarray, s: int, order: int) -> float:
     return float(np.sqrt(np.mean(resid * resid)))
 
 
-def estimate_hurst(ts, scales=None, order: int = 2) -> DfaResult:
-    """Fluctuation function and its Hurst fit, as one new result."""
-    return fit_hurst(dfa_fluctuation(ts, scales=scales, order=order))
-
-
 def fit_hurst(result: DfaResult) -> DfaResult:
     """``result`` with the Hurst fit of its fluctuation function added.
 

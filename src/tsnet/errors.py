@@ -20,9 +20,9 @@ class MissingColumn(TsnetError):
 class ParseError(TsnetError):
     """A CSV cell in the target column does not parse as a finite real number.
 
-    Also raised for bytes that are not UTF-8, malformed CSV and timestamps
-    out of order.  ``row`` is the 1-based line number in the file (a
-    header, when the file has one, is row 1).
+    Also raised for bytes that are not UTF-8, malformed CSV, a missing or
+    blank date cell and timestamps out of order.  ``row`` is the 1-based
+    line number in the file (a header, when the file has one, is row 1).
     """
 
     def __init__(self, message: str, row: int | None = None):
@@ -42,7 +42,9 @@ class MomentOverflow(TsnetError):
 
 
 class SeriesTooShort(TsnetError):
-    """Fewer than two observations; no graph or fluctuation analysis possible."""
+    """Fewer than two observations, so no graph can be built; also DFA's
+    "no valid scale" error, for a series shorter than four times the
+    smallest scale (n < 32 at order 2)."""
 
 
 # --- fluctuation analysis -----------------------------------------------
@@ -78,11 +80,14 @@ class Unavailable(TsnetError):
     """A stage did not run because a stage it needs failed."""
 
 
-# --- generators ----------------------------------------------------------
+# --- arguments -----------------------------------------------------------
 
 
 class InvalidParam(TsnetError):
-    """Generator spec has an unknown kind or an out-of-range parameter."""
+    """An argument out of range: a generator spec's kind or parameter, a
+    DFA order, scale list or non-finite Hurst exponent, a degree-tail
+    range, a path or prefix size in ``netstats``, or an unknown dataset
+    name in ``fetch``."""
 
 
 # --- fetching ------------------------------------------------------------
@@ -93,4 +98,5 @@ class NetworkError(TsnetError):
 
 
 class UnrecognizedFormat(TsnetError):
-    """Downloaded payload does not match any known dataset layout."""
+    """Downloaded payload does not match any known dataset layout, is an
+    xlsx workbook that cannot be read, or gives one date twice."""

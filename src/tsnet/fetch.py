@@ -8,11 +8,11 @@ records the source URL, SHA-256 of the raw payload, and row count.
 The publisher occasionally revises these files, so downstream numbers
 can drift between vintages; the manifest flags a row count that differs
 from the vintage this package's reference statistics were computed on,
-and counts the dated rows it drops because a cell does not parse.
+and counts the dated rows it drops for an impossible date or a bad cell.
 
-The network modules are imported only when a download runs, so importing
-this module (as the command line parser does, for ``DATASETS``) loads no
-network stack.
+The network modules are imported only when a download runs, and the XML
+parser only when a workbook is read, so importing this module (as the
+command line parser does, for ``DATASETS``) loads neither.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import date, datetime, timezone
 from pathlib import Path
 
 from .errors import InvalidParam, NetworkError, UnrecognizedFormat
@@ -134,7 +135,8 @@ def _download(url: str, timeout: float) -> bytes:
 
 
 def _parse_table(raw: bytes) -> tuple[list[str], list[list[str]]]:
-    """(header, rows) of CSV bytes or an xlsx workbook, blank rows dropped."""
+    """(header, rows) of CSV bytes or an xlsx workbook, blank rows dropped
+    and short rows padded with empty cells to the header's width."""
     if raw.startswith(_XLSX_MAGIC):
         rows = _xlsx_rows(raw)
     else:
@@ -146,24 +148,57 @@ def _parse_table(raw: bytes) -> tuple[list[str], list[list[str]]]:
     rows = [r for r in rows if any(c.strip() for c in r)]
     if len(rows) < 2:
         raise UnrecognizedFormat("file has no data rows")
-    return rows[0], rows[1:]
+    return rows[0], [r + [""] * (len(rows[0]) - len(r)) for r in rows[1:]]
 
 
 def _xlsx_rows(raw: bytes) -> list[list[str]]:
+    """The first sheet's cell text, read with the standard library.  A
+    date-styled cell reads as its Excel serial number, not as a date."""
+    import posixpath
+    import xml.etree.ElementTree as ET
+    import zipfile
+    import zlib
+
+    ns = "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}"
+    rel_id = "{http://schemas.openxmlformats.org/officeDocument/2006/relationships}id"
+
+    def part(target):  # relative to xl/, or absolute in the package
+        path = posixpath.normpath(posixpath.join("xl", target)).lstrip("/")
+        return ET.fromstring(zf.read(path))
+
+    def text(el):  # a shared or inline string: plain, or rich-text runs
+        runs = el.findall(f"{ns}t") + el.findall(f"{ns}r/{ns}t")
+        return "".join(t.text or "" for t in runs)
+
+    def column(ref):  # "AB12" -> 27; a character other than A-Z: ValueError
+        letters = ref.rstrip("0123456789")[::-1]
+        return sum(26**i * ("ABCDEFGHIJKLMNOPQRSTUVWXYZ".index(ch) + 1)
+                   for i, ch in enumerate(letters)) - 1
+
     try:
-        from openpyxl import load_workbook
-    except ImportError as exc:
-        raise UnrecognizedFormat(
-            "source is an xlsx workbook and openpyxl is not installed; "
-            "pass --url pointing at a CSV export instead"
-        ) from exc
-    wb = load_workbook(io.BytesIO(raw), read_only=True, data_only=True)
-    ws = wb[wb.sheetnames[0]]
-    rows = [
-        ["" if c is None else str(c) for c in row]
-        for row in ws.iter_rows(values_only=True)
-    ]
-    wb.close()
+        with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+            first = part("workbook.xml").find(f"{ns}sheets/{ns}sheet")  # tab order
+            rels = {r.get("Id"): r for r in part("_rels/workbook.xml.rels")}
+            shared = (r.get("Target") for r in rels.values()
+                      if r.get("Type", "").endswith("/sharedStrings"))
+            # a dict, not a list, so that index -1 fails as well
+            strings = dict(enumerate(text(si) for t in shared for si in part(t)))
+            sheet = part(rels[first.get(rel_id)].get("Target"))
+        rows = []
+        for row in sheet.iter(f"{ns}row"):
+            cells = []
+            for c in row.findall(f"{ns}c"):
+                ref, kind, v = c.get("r"), c.get("t"), c.findtext(f"{ns}v", "")
+                col = column(ref) if ref else len(cells)
+                if not len(cells) <= col < 16384:  # XFD is Excel's last column
+                    raise ValueError(f"cell reference {ref!r} out of order")
+                cells += [""] * (col - len(cells))
+                cells.append(strings[int(v)] if kind == "s" else
+                             text(c.find(f"{ns}is")) if kind == "inlineStr" else v)
+            rows.append(cells)
+    except (zipfile.BadZipFile, zlib.error, EOFError, RuntimeError, ET.ParseError,
+            LookupError, ValueError, TypeError, AttributeError) as exc:
+        raise UnrecognizedFormat(f"unreadable xlsx workbook: {exc!r}") from exc
     return rows
 
 
@@ -177,7 +212,7 @@ def _find_column(header: list[str], token: str) -> int | None:
 def _int_or_none(cell: str) -> int | None:
     try:
         return int(float(cell))
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):  # OverflowError: an infinite cell
         return None
 
 
@@ -185,8 +220,9 @@ def _normalize_rows(
     header: list[str], rows: list[list[str]], spec: _Dataset
 ) -> tuple[list[tuple], int]:
     """Dated rows as ``(date, *values)`` sorted by date, and the count of
-    rows dropped although their year and month parse: a day or value cell
-    that does not.  Rows without a year and month (footnotes) are not data."""
+    rows dropped although their year and month parse: a date that does not
+    exist, or a day or value cell that does not parse.  Rows without a year
+    and month (footnotes) are not data; a date given twice is an error."""
     year_col = _find_column(header, "year")
     month_col = _find_column(header, "month")
     day_col = None if spec.monthly else _find_column(header, "day")
@@ -194,17 +230,12 @@ def _normalize_rows(
         raise UnrecognizedFormat(
             f"could not locate date columns in header {header!r}"
         )
-    date_cols = {year_col, month_col} | ({day_col} if day_col is not None else set())
+    date_cols = {year_col, month_col, day_col}
     value_cols = [i for i in range(len(header)) if i not in date_cols]
     # keep only columns that are numeric in the first parseable row
-    probe = next((r for r in rows if year_col < len(r)
-                  and _int_or_none(r[year_col]) is not None), None)
+    probe = next((r for r in rows if _int_or_none(r[year_col]) is not None), None)
     if probe is not None:
-        value_cols = [
-            i
-            for i in value_cols
-            if i < len(probe) and _float_or_none(probe[i]) is not None
-        ]
+        value_cols = [i for i in value_cols if _float_or_none(probe[i]) is not None]
     if len(value_cols) < len(spec.value_names):
         raise UnrecognizedFormat(
             f"expected {len(spec.value_names)} value columns, found {len(value_cols)}"
@@ -214,35 +245,29 @@ def _normalize_rows(
     out = []
     dropped = 0
     for row in rows:
-        year = _int_or_none(row[year_col]) if year_col < len(row) else None
-        month = _int_or_none(row[month_col]) if month_col < len(row) else None
+        year, month = _int_or_none(row[year_col]), _int_or_none(row[month_col])
         if year is None or month is None:  # footnote or blank row
             continue
-        if spec.monthly:
-            date = f"{year:04d}-{month:02d}"
-        else:
-            day = _int_or_none(row[day_col]) if day_col < len(row) else None
-            if day is None:
-                dropped += 1
-                continue
-            date = f"{year:04d}-{month:02d}-{day:02d}"
-        values = []
-        for col in value_cols:
-            v = _float_or_none(row[col]) if col < len(row) else None
-            if v is None:
-                break
-            values.append(repr(v))
-        if len(values) != len(value_cols):
+        day = 1 if spec.monthly else _int_or_none(row[day_col])
+        values = [_float_or_none(row[col]) for col in value_cols]
+        try:  # a day cell that does not parse is None: TypeError
+            stamp = date(year, month, day).isoformat()[: 7 if spec.monthly else 10]
+        except (TypeError, ValueError):
+            stamp = None
+        if stamp is None or None in values:
             dropped += 1
             continue
-        out.append((date, *values))
+        out.append((stamp, *map(repr, values)))
     out.sort(key=lambda r: r[0])
+    for prev, row in zip(out, out[1:]):
+        if prev[0] == row[0]:
+            raise UnrecognizedFormat(f"date {row[0]} appears more than once")
     return out, dropped
 
 
 def _float_or_none(cell: str) -> float | None:
     try:
         value = float(cell)
-    except (TypeError, ValueError):
+    except ValueError:
         return None
-    return value if value == value else None  # drop NaN cells
+    return value if math.isfinite(value) else None

@@ -31,7 +31,7 @@ from tsnet import (
     default_prefix_sizes,
     degree_distribution,
     dfa_fluctuation,
-    estimate_hurst,
+    fit_hurst,
     fit_powerlaw_tail,
     from_csv,
     generate,
@@ -163,9 +163,9 @@ def test_criterion_4_dfa(check):
 
     mean_h = np.mean(
         [
-            estimate_hurst(
+            fit_hurst(dfa_fluctuation(
                 generate(GeneratorSpec(kind="iid_gaussian", n=16384, seed=s))
-            ).hurst
+            )).hurst
             for s in range(10)
         ]
     )
@@ -174,11 +174,11 @@ def test_criterion_4_dfa(check):
 
     mean_h8 = np.mean(
         [
-            estimate_hurst(
+            fit_hurst(dfa_fluctuation(
                 generate(
                     GeneratorSpec(kind="fgn", n=16384, seed=s, params={"hurst": 0.8})
                 )
-            ).hurst
+            )).hurst
             for s in range(10)
         ]
     )
@@ -367,7 +367,8 @@ def test_criterion_6_reproduction(announce, check):
         expect(f"{key} C", clustering(g).average, ref["c_avg"], 0.01)
         expect(f"{key} r", assortativity(g), ref["r"], 0.02)
         expect(f"{key} gamma", fit_powerlaw_tail(dist).gamma, ref["gamma"], 0.15)
-        expect(f"{key} hurst", estimate_hurst(ts).hurst, ref["hurst"], 0.05)
+        hurst = fit_hurst(dfa_fluctuation(ts)).hurst
+        expect(f"{key} hurst", hurst, ref["hurst"], 0.05)
 
     curve = small_world_curve(build_fast(series["us-daily"]))
     expect("us-daily L(N) slope", curve.slope, DAILY_SMALL_WORLD["slope"], 0.05)

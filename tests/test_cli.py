@@ -399,16 +399,18 @@ class TestEntryPoint:
             assert callable(build_parser().parse_args(argv).func)
 
     def test_analyze_loads_no_network_stack(self, fgn_csv, tmp_path):
-        # a fresh interpreter, so no other test's imports count
+        # a fresh interpreter, so no other test's imports count; only fetch
+        # needs the network stack, and only its xlsx reader an XML parser
         script = textwrap.dedent("""
             import sys
             import tsnet.cli
-            NET = ("urllib.request", "http.client", "ssl", "socket", "email")
-            print(sorted(m for m in NET if m in sys.modules))
+            LAZY = ("urllib.request", "http.client", "ssl", "socket", "email",
+                    "xml.etree.ElementTree", "pyexpat")
+            print(sorted(m for m in LAZY if m in sys.modules))
             argv = ["analyze", "--input", sys.argv[1], "--small-world",
                     "--report", sys.argv[2], "--plot-dir", sys.argv[3]]
             assert tsnet.cli.main(argv) == 0
-            print(sorted(m for m in NET if m in sys.modules))
+            print(sorted(m for m in LAZY if m in sys.modules))
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -12,10 +12,9 @@ from tsnet import (
     classify_persistence,
     default_scales,
     dfa_fluctuation,
-    estimate_hurst,
+    fit_hurst,
     generate,
 )
-from tsnet.dfa import fit_hurst
 
 from oracles import dfa_polyfit
 
@@ -102,41 +101,31 @@ class TestDefaultScales:
 class TestHurst:
     def test_white_noise_single_seed(self):
         ts = generate(GeneratorSpec(kind="iid_gaussian", n=8192, seed=1))
-        r = estimate_hurst(ts)
+        r = fit_hurst(dfa_fluctuation(ts))
         assert r.hurst == pytest.approx(0.5, abs=0.07)
         assert r.fit_r2 > 0.98
         assert r.fit_range[0] >= 8 and r.fit_range[1] <= 8192 // 4
 
     def test_persistent_noise_single_seed(self):
         ts = generate(GeneratorSpec(kind="fgn", n=8192, seed=1, params={"hurst": 0.8}))
-        r = estimate_hurst(ts)
+        r = fit_hurst(dfa_fluctuation(ts))
         assert r.hurst == pytest.approx(0.8, abs=0.07)
 
     def test_fit_range_subsetting(self):
         y = fixed_walk(1024)
         grid = default_scales(1024)
-        r = estimate_hurst(y, scales=grid[(grid >= 16) & (grid <= 128)], order=2)
+        scales = grid[(grid >= 16) & (grid <= 128)]
+        r = fit_hurst(dfa_fluctuation(y, scales=scales, order=2))
         assert 16 <= r.fit_range[0] <= r.fit_range[1] <= 128
 
     def test_constant_series_degenerate(self):
         r = dfa_fluctuation(np.full(256, 3.0), scales=[8, 16], order=1)
         assert np.all(r.fluctuations == 0.0)
         with pytest.raises(DegenerateFit):
-            estimate_hurst(np.full(256, 3.0), scales=[8, 16], order=1)
-
-    def test_fit_of_fluctuation_is_estimate(self):
-        y = fixed_walk(1024)
-        for kwargs in ({}, {"scales": [8, 16, 32, 64, 128], "order": 1}):
-            fitted = fit_hurst(dfa_fluctuation(y, **kwargs))
-            direct = estimate_hurst(y, **kwargs)
-            for field in dataclasses.fields(direct):
-                got, want = getattr(fitted, field.name), getattr(direct, field.name)
-                assert np.array_equal(got, want), field.name
-        with pytest.raises(DegenerateFit):
             fit_hurst(dfa_fluctuation(np.full(256, 3.0), scales=[8, 16], order=1))
 
     def test_result_fields_set(self):
-        r = estimate_hurst(fixed_walk(512))
+        r = fit_hurst(dfa_fluctuation(fixed_walk(512)))
         assert r.hurst is not None and r.fit_r2 is not None
         with pytest.raises(dataclasses.FrozenInstanceError):
             r.hurst = 0.5

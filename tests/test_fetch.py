@@ -1,14 +1,15 @@
 import hashlib
-import importlib.util
+import io
 import json
+import zipfile
 
 import pytest
 
 from tsnet import InvalidParam, NetworkError, UnrecognizedFormat, from_csv
 from tsnet.cli import main
-from tsnet.fetch import fetch_dataset
+from tsnet.fetch import _parse_table, _xlsx_rows, fetch_dataset
 
-HAVE_OPENPYXL = importlib.util.find_spec("openpyxl") is not None
+from workbooks import MAIN, replace_parts, xlsx_bytes
 
 DAILY_RAW = (
     "year,month,day,daily_policy_index\n"
@@ -33,10 +34,45 @@ MONTHLY_CN_RAW = (
 )
 
 
+IMPOSSIBLE_DATES_RAW = (
+    "year,month,day,daily_policy_index\n"
+    "1985,1,1,100.0\n"
+    "1985,13,2,90.0\n"
+    "1985,2,30,80.0\n"
+    "1985,1,2,95.0\n"
+)
+
+# how a table reaches fetch: as CSV text, or as a workbook of each kind
+ENCODINGS = {
+    "csv": str.encode,
+    "xlsx-shared": xlsx_bytes,
+    "xlsx-inline": lambda table: xlsx_bytes(table, inline=True),
+}
+
+
 def file_url(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, newline="\n")
     return path.as_uri()
+
+
+def bytes_url(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return path.as_uri()
+
+
+def sheet(rows_xml):
+    return (f'<worksheet xmlns="{MAIN}"><sheetData>{rows_xml}</sheetData>'
+            "</worksheet>").encode()
+
+
+def corrupt_member(raw, name):
+    """``raw`` with bytes inside the compressed data of member ``name``
+    overwritten, so inflating it fails."""
+    info = zipfile.ZipFile(io.BytesIO(raw)).getinfo(name)
+    start = info.header_offset + 30 + len(info.filename.encode()) + len(info.extra)
+    return raw[: start + 5] + b"\xff" * 8 + raw[start + 13 :]
 
 
 class TestFetchDataset:
@@ -111,12 +147,117 @@ class TestFetchDataset:
         with pytest.raises(UnrecognizedFormat):
             fetch_dataset("us-daily", url=url, out_dir=tmp_path)
 
-    @pytest.mark.skipif(HAVE_OPENPYXL, reason="openpyxl present; xlsx parses")
-    def test_xlsx_without_openpyxl_unrecognized(self, tmp_path):
-        path = tmp_path / "data.xlsx"
-        path.write_bytes(b"PK\x03\x04not really a workbook")
-        with pytest.raises(UnrecognizedFormat, match="openpyxl"):
-            fetch_dataset("us-monthly", url=path.as_uri(), out_dir=tmp_path)
+    def test_infinite_value_counted(self, tmp_path):
+        raw = DAILY_RAW + "1985,1,4,inf\n1985,1,5,-inf\n"
+        url = file_url(tmp_path, "daily.csv", raw)
+        result = fetch_dataset("us-daily", url=url, out_dir=tmp_path / "out")
+        assert result.rows == 3
+        assert result.dropped_rows == 2
+        ts = from_csv(result.csv_path.read_bytes(), column="epu", date_column="date")
+        assert ts.timestamps[-1] == "1985-01-03"
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_impossible_dates_counted(self, tmp_path, encoding):
+        url = bytes_url(tmp_path, "daily", ENCODINGS[encoding](IMPOSSIBLE_DATES_RAW))
+        result = fetch_dataset("us-daily", url=url, out_dir=tmp_path / "out")
+        assert result.csv_path.read_text().splitlines() == [
+            "date,epu", "1985-01-01,100.0", "1985-01-02,95.0"
+        ]
+        assert result.dropped_rows == 2
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_impossible_month_counted(self, tmp_path, encoding):
+        raw = MONTHLY_CN_RAW + "1995,13,140.0\n1995,0,150.0\n"
+        url = bytes_url(tmp_path, "cn", ENCODINGS[encoding](raw))
+        result = fetch_dataset("cn-monthly", url=url, out_dir=tmp_path / "out")
+        assert result.rows == 2
+        assert result.dropped_rows == 3
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_repeated_date_unrecognized(self, tmp_path, encoding):
+        raw = DAILY_RAW + "1985,1,1,99.0\n"
+        url = bytes_url(tmp_path, "daily", ENCODINGS[encoding](raw))
+        with pytest.raises(UnrecognizedFormat, match="1985-01-01"):
+            fetch_dataset("us-daily", url=url, out_dir=tmp_path / "out")
+
+
+class TestXlsx:
+    @pytest.mark.parametrize("inline", [False, True], ids=["shared", "inline"])
+    @pytest.mark.parametrize("name,table", [
+        ("us-monthly", MONTHLY_US_RAW),
+        ("cn-monthly", MONTHLY_CN_RAW),
+        ("us-daily", DAILY_RAW),
+    ], ids=["us-monthly", "cn-monthly", "us-daily"])
+    def test_same_output_as_csv(self, tmp_path, name, table, inline):
+        source = tmp_path / "source"  # one URL, so the manifests can match
+        source.write_text(table, newline="\n")
+        by_csv = fetch_dataset(name, url=source.as_uri(), out_dir=tmp_path / "csv")
+        source.write_bytes(xlsx_bytes(table, inline=inline))
+        by_xlsx = fetch_dataset(name, url=source.as_uri(), out_dir=tmp_path / "xlsx")
+        assert by_xlsx.sha256 != by_csv.sha256
+        assert by_xlsx.csv_path.read_bytes() == by_csv.csv_path.read_bytes()
+        assert (by_xlsx.rows, by_xlsx.dropped_rows) == (by_csv.rows, by_csv.dropped_rows)
+        manifests = [json.loads(r.manifest_path.read_text()) for r in (by_csv, by_xlsx)]
+        for manifest in manifests:
+            for key in ("sha256", "content_bytes", "retrieved_at"):
+                del manifest[key]
+        assert manifests[0] == manifests[1]
+
+    def test_gap_cells_read_as_empty(self):
+        table = "Year,Month,A,,B\n1985,1,,2.5,100.1\n1985,2,3.5,,\nnote\n"
+        for inline in (False, True):
+            assert _parse_table(xlsx_bytes(table, inline=inline)) == _parse_table(
+                table.encode()
+            )
+
+    def test_cell_text_and_columns(self):
+        rich = "<si><r><t>Ye</t></r><r><t>ar</t></r></si><si><t>Month</t></si>"
+        raw = replace_parts(xlsx_bytes("x\n"), {
+            "xl/sharedStrings.xml": f'<sst xmlns="{MAIN}">{rich}</sst>'.encode(),
+            "xl/worksheets/sheet1.xml": sheet(
+                '<row r="1"><c t="s"><v>0</v></c><c r="C1" t="s"><v>1</v></c></row>'
+                '<row r="3"><c r="AB3"><v>7</v></c></row>'
+            ),
+        })
+        assert _xlsx_rows(raw) == [["Year", "", "Month"], [""] * 27 + ["7"]]
+
+    @pytest.mark.parametrize("target", ["/xl/worksheets/data.xml", "worksheets/data.xml"])
+    def test_first_sheet_found_through_rels(self, tmp_path, target):
+        raw = xlsx_bytes(MONTHLY_US_RAW, target=target, decoy=MONTHLY_CN_RAW)
+        url = bytes_url(tmp_path, "us.xlsx", raw)
+        result = fetch_dataset("us-monthly", url=url, out_dir=tmp_path / "out")
+        assert result.csv_path.read_text().splitlines() == [
+            "date,epu,news_epu",
+            "1985-01,125.2,100.1",
+            "1985-02,99.0,102.3",
+            "1985-03,112.7,98.4",
+        ]
+
+    GOOD = xlsx_bytes(MONTHLY_US_RAW)
+    MALFORMED = {
+        "truncated": GOOD[: len(GOOD) // 2],
+        "no-workbook-xml": replace_parts(GOOD, {"xl/workbook.xml": None}),
+        "shared-string-index": replace_parts(GOOD, {
+            "xl/worksheets/sheet1.xml": sheet('<row><c t="s"><v>99</v></c></row>')
+        }),
+        "negative-shared-string-index": replace_parts(GOOD, {
+            "xl/worksheets/sheet1.xml": sheet('<row><c t="s"><v>-1</v></c></row>')
+        }),
+        "cell-reference": replace_parts(GOOD, {
+            "xl/worksheets/sheet1.xml": sheet('<row><c r="b1"><v>1</v></c></row>')
+        }),
+        "sheet-not-xml": replace_parts(GOOD, {"xl/worksheets/sheet1.xml": b"not xml"}),
+        "corrupt-deflate": corrupt_member(GOOD, "xl/worksheets/sheet1.xml"),
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_workbook_unrecognized(self, tmp_path, capsys, case):
+        url = bytes_url(tmp_path, "us.xlsx", self.MALFORMED[case])
+        with pytest.raises(UnrecognizedFormat, match="unreadable xlsx workbook"):
+            fetch_dataset("us-monthly", url=url, out_dir=tmp_path / "out")
+        assert main(["fetch", "us-monthly", "--url", url,
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "tsnet: error: unreadable xlsx workbook" in capsys.readouterr().err
 
 
 class TestFetchCli:
@@ -134,7 +275,7 @@ class TestFetchCli:
                      "--out-dir", str(tmp_path / "out")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if "dropped" in line] == [
-            "warning: dropped 1 dated row(s) whose day or value cell does not "
+            "warning: dropped 1 dated row(s) whose date or value cell does not "
             "parse (dropped_rows in the manifest)"
         ]
 
