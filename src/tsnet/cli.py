@@ -95,12 +95,9 @@ def _cmd_analyze(args) -> int:
 def _write_plots(stages: dict, outdir: Path) -> None:
     """Write the plot-ready CSVs; name each one that cannot be written on stderr."""
     outdir.mkdir(parents=True, exist_ok=True)
-    graph = stages["graph"]
     outputs = [
         ("dfa_fluctuations.csv", "n,F", stages["dfa"], lambda r: (r.scales, r.fluctuations)),
-        # a failed graph skips its pdf with its own error, not Unavailable
-        ("degree_pdf.csv", "k,p", graph if isinstance(graph, TsnetError) else stages["dist"],
-         lambda d: (d.support, d.pdf)),
+        ("degree_pdf.csv", "k,p", stages["dist"], lambda d: (d.support, d.pdf)),
     ]
     if stages["curve"] is not None:
         outputs.append(
@@ -190,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_int_list,
         default=None,
         metavar="N1,N2,...",
-        help="growing-window sizes for the small-world curve",
+        help="growing-window sizes for the small-world curve (needs --small-world)",
     )
     p.add_argument("--report", default=None, help="write JSON here instead of stdout")
     p.add_argument(
@@ -234,7 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "prefix_sizes", None) is not None and not args.small_world:
+        parser.error("--prefix-sizes needs --small-world")
     try:
         return args.func(args)
     except (TsnetError, OSError) as exc:

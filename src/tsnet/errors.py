@@ -98,5 +98,5 @@ class NetworkError(TsnetError):
 
 
 class UnrecognizedFormat(TsnetError):
-    """Downloaded payload does not match any known dataset layout, is an
-    xlsx workbook that cannot be read, or gives one date twice."""
+    """Downloaded payload does not match any known dataset layout, is a
+    CSV or xlsx workbook that cannot be read, or gives one date twice."""

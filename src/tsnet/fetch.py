@@ -144,7 +144,11 @@ def _parse_table(raw: bytes) -> tuple[list[str], list[list[str]]]:
             text = raw.decode("utf-8-sig")
         except UnicodeDecodeError:
             text = raw.decode("latin-1")
-        rows = csv.reader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(text))
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a field over the csv module's limit
+            raise UnrecognizedFormat(f"row {reader.line_num}: {exc}") from None
     rows = [r for r in rows if any(c.strip() for c in r)]
     if len(rows) < 2:
         raise UnrecognizedFormat("file has no data rows")

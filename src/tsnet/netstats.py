@@ -77,7 +77,8 @@ class ClusteringReport:
 
 @dataclass(frozen=True)
 class SmallWorldCurve:
-    """Average path length on growing prefixes, with the ln N fit.
+    """Average path length on growing prefixes, with the ln N fit, and
+    the whole graph's average path length.
 
     Fit fields are None when fewer than two prefix sizes were evaluated.
     """
@@ -87,6 +88,7 @@ class SmallWorldCurve:
     slope: float | None
     intercept: float | None
     r2: float | None
+    average_path_full: float
 
     @property
     def flat(self) -> bool:
@@ -393,7 +395,8 @@ def small_world_curve(g: VisibilityGraph,
     """L(N) on growing prefixes of the series behind ``g``, fit against ln N.
 
     The graph of the first k samples is ``g.prefix(k)``, an induced
-    subgraph, so the dominators of ``g`` serve every prefix.
+    subgraph, so the dominators of ``g`` serve every prefix, and the whole
+    graph too where the last size is below ``g.n``.
     """
     n = g.n
     if sizes is None:
@@ -410,14 +413,14 @@ def small_world_curve(g: VisibilityGraph,
     lengths = np.array(
         [_average_path(g.prefix(k), dom[:k]) for k in sizes], dtype=np.float64
     )
+    full = float(lengths[-1]) if sizes[-1] == n else _average_path(g, dom)
     size_arr = np.asarray(sizes, dtype=np.int64)
     slope = intercept = r2 = None
     if size_arr.size >= 2:
         fit = linear_fit(np.log(size_arr.astype(np.float64)), lengths)
         slope, intercept, r2 = fit.slope, fit.intercept, fit.r2
-    return SmallWorldCurve(
-        sizes=size_arr, lengths=lengths, slope=slope, intercept=intercept, r2=r2
-    )
+    return SmallWorldCurve(sizes=size_arr, lengths=lengths, slope=slope,
+                           intercept=intercept, r2=r2, average_path_full=full)
 
 
 def small_world_verdict(curve: SmallWorldCurve, average_clustering: float) -> bool:

@@ -18,7 +18,6 @@ from . import __version__
 from .dfa import classify_persistence, dfa_fluctuation, fit_hurst
 from .errors import TsnetError, Unavailable
 from .netstats import (
-    all_pairs_average_path,
     assortativity,
     clustering,
     degree_distribution,
@@ -74,16 +73,15 @@ def run_stage(compute, *needs):
         return exc
 
 
-def _section(render, *results):
-    """``render(*results)``, or the first error among the results or the render."""
-    failed = [r for r in results if isinstance(r, TsnetError)]
-    out = failed[0] if failed else run_stage(render, *results)
+def _section(render, result):
+    """``render(result)``, or the error of the result or of the render."""
+    out = result if isinstance(result, TsnetError) else run_stage(render, result)
     if isinstance(out, TsnetError):
         return {"error": type(out).__name__, "detail": str(out)}
     return out
 
 
-def _small_world_section(curve, full, clust) -> dict:
+def _small_world_section(curve, clust) -> dict:
     return {
         "sizes": curve.sizes,
         "lengths": curve.lengths,
@@ -91,7 +89,7 @@ def _small_world_section(curve, full, clust) -> dict:
         "intercept": curve.intercept,
         "r2": curve.r2,
         "flat": curve.flat if curve.slope is not None else None,
-        "average_path_full": full,
+        "average_path_full": curve.average_path_full,
         "verdict": small_world_verdict(curve, clust.average)
         if curve.r2 is not None and not isinstance(clust, TsnetError)
         else None,
@@ -120,30 +118,24 @@ def run_stages(
 ) -> dict:
     """Run the pipeline on one series: each stage's result by name, or the
     :class:`TsnetError` that stopped it (``Unavailable`` where the graph
-    failed).  ``curve`` and ``average_path`` are None without
-    ``small_world``.  ``average_path`` is the whole graph's average path
-    length: the curve's last length when that prefix is the whole graph,
-    else one all-pairs run, and the curve's own error where it failed.
+    failed, but ``dist`` is then the graph's own error).  ``curve`` is None
+    without ``small_world``.
     """
     stages = {"label": ts.label, "summary": summary(ts)}
     stages["dfa"] = run_stage(
         lambda: dfa_fluctuation(ts, scales=dfa_scales, order=dfa_order)
     )
     graph = stages["graph"] = run_stage(build_fast, ts)
-    dist = stages["dist"] = run_stage(degree_distribution, graph)
+    # where the graph failed, dist is its own error rather than Unavailable,
+    # so that the graph section and the degree pdf both say why
+    dist = stages["dist"] = (graph if isinstance(graph, TsnetError)
+                             else run_stage(degree_distribution, graph))
     stages["tail"] = run_stage(lambda d: fit_powerlaw_tail(d, k_min=tail_kmin), dist)
     stages["clustering"] = run_stage(clustering, graph)
     stages["assortativity"] = run_stage(assortativity, graph)
-    stages["curve"] = stages["average_path"] = None
-    if small_world:
-        curve = run_stage(lambda g: small_world_curve(g, sizes=prefix_sizes), graph)
-        stages["curve"] = stages["average_path"] = curve
-        if not isinstance(curve, TsnetError):  # so the graph did not fail either
-            stages["average_path"] = run_stage(
-                lambda: float(curve.lengths[-1])
-                if int(curve.sizes[-1]) == graph.n
-                else all_pairs_average_path(graph)
-            )
+    stages["curve"] = run_stage(
+        lambda g: small_world_curve(g, sizes=prefix_sizes), graph
+    ) if small_world else None
     return stages
 
 
@@ -171,13 +163,13 @@ def build_report(stages: dict, source: dict | None = None) -> dict:
             "kurtosis_convention": "excess",
         },
         "hurst": _section(lambda f: _hurst_section(fit_hurst(f)), stages["dfa"]),
-        "graph": _section(lambda g, d: {
-            "n_nodes": g.n,
-            "n_edges": g.m,
+        "graph": _section(lambda d: {
+            "n_nodes": graph.n,
+            "n_edges": graph.m,
             "mean_degree": d.mean_degree(),
             "k_min": d.k_min,
             "k_max": d.k_max,
-        }, graph, stages["dist"]),
+        }, stages["dist"]),
         "degree_tail": _section(lambda f: {
             "gamma": f.gamma,
             "r2": f.r2,
@@ -188,9 +180,6 @@ def build_report(stages: dict, source: dict | None = None) -> dict:
             lambda c: {"average": c.average, "c_max": c.c_max, "c_min": c.c_min}, clust
         ),
         "assortativity": _section(lambda r: {"r": r}, stages["assortativity"]),
-        "small_world": _section(
-            lambda c, full: _small_world_section(c, full, clust),
-            curve,
-            stages["average_path"],
-        ) if curve is not None else None,
+        "small_world": _section(lambda c: _small_world_section(c, clust), curve)
+        if curve is not None else None,
     }

@@ -152,6 +152,13 @@ class TestAnalyze:
             run(["analyze", "--input", fgn_csv, "--prefix-sizes", "a,b"])
         assert exc_info.value.code == 2
 
+    def test_prefix_sizes_without_small_world_exit_2(self, fgn_csv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["analyze", "--input", fgn_csv, "--prefix-sizes", "64,128"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--prefix-sizes" in err and "--small-world" in err
+
     def test_non_monotone_prefix_sizes_reported_in_section(self, fgn_csv, capsys):
         assert run(["analyze", "--input", fgn_csv, "--column", "value",
                     "--small-world", "--prefix-sizes", "128,64"]) == 0

@@ -147,6 +147,28 @@ class TestFetchDataset:
         with pytest.raises(UnrecognizedFormat):
             fetch_dataset("us-daily", url=url, out_dir=tmp_path)
 
+    def test_oversized_csv_field_unrecognized(self, tmp_path):
+        raw = DAILY_RAW + '1985,1,4,"' + "9" * 200_000 + '"\n'
+        url = file_url(tmp_path, "daily.csv", raw)
+        with pytest.raises(UnrecognizedFormat, match="row 6: field larger"):
+            fetch_dataset("us-daily", url=url, out_dir=tmp_path / "out")
+
+    def test_latin1_csv_decoded(self, tmp_path):
+        raw = "year,month,day,\xedndice\n1985,1,1,100.5\n".encode("latin-1")
+        url = bytes_url(tmp_path, "daily.csv", raw)
+        result = fetch_dataset("us-daily", url=url, out_dir=tmp_path / "out")
+        assert result.csv_path.read_text().splitlines() == ["date,epu", "1985-01-01,100.5"]
+
+    @pytest.mark.parametrize("name, raw, detail", [
+        ("us-daily", "year,month,day,daily_policy_index\nNote: rebased,,,\n",
+         "no data rows recognized"),
+        ("cn-monthly", "year,month\n1995,1\n", "expected 1 value columns, found 0"),
+    ], ids=["footnotes-only", "no-value-column"])
+    def test_unusable_table_unrecognized(self, tmp_path, name, raw, detail):
+        url = file_url(tmp_path, "table.csv", raw)
+        with pytest.raises(UnrecognizedFormat, match=detail):
+            fetch_dataset(name, url=url, out_dir=tmp_path / "out")
+
     def test_infinite_value_counted(self, tmp_path):
         raw = DAILY_RAW + "1985,1,4,inf\n1985,1,5,-inf\n"
         url = file_url(tmp_path, "daily.csv", raw)

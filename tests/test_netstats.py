@@ -549,6 +549,12 @@ class TestSmallWorld:
         expected = [floyd_warshall_average_path(g.prefix(int(k))) for k in curve.sizes]
         assert curve.lengths.tolist() == expected
 
+    @pytest.mark.parametrize("sizes", [[16, 64], [16, 150]], ids=["short", "full"])
+    def test_average_path_full_matches_floyd_warshall(self, sizes, rng):
+        g = build_fast(_series("ties", 150, rng))
+        curve = small_world_curve(g, sizes=sizes)
+        assert curve.average_path_full == floyd_warshall_average_path(g)
+
     def test_single_size_has_no_fit(self, rng):
         curve = small_world_curve(build_fast(rng.normal(size=128)), sizes=[128])
         assert curve.slope is None and curve.r2 is None

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import tsnet.report
+import tsnet.netstats
 from tsnet import GeneratorSpec, InvalidParam, generate
 from tsnet.report import build_report, canonical_json, run_stages
 
@@ -20,15 +20,22 @@ SHORT_CURVE_REPORT_SHA256 = "b63785aea590578751d57575dae33d615082596df3c6c447dab
 
 
 @pytest.fixture
-def counted_all_pairs(monkeypatch):
-    calls = []
-    original = tsnet.report.all_pairs_average_path
+def kernel_calls(monkeypatch):
+    """The node counts of the graphs that ``_average_path`` and
+    ``_dominators`` see, by kernel name."""
+    calls = {"_average_path": [], "_dominators": []}
 
-    def counted(g):
-        calls.append(g.n)
-        return original(g)
+    def count(name):
+        original = getattr(tsnet.netstats, name)
 
-    monkeypatch.setattr(tsnet.report, "all_pairs_average_path", counted)
+        def counted(g, *args):
+            calls[name].append(g.n)
+            return original(g, *args)
+
+        monkeypatch.setattr(tsnet.netstats, name, counted)
+
+    count("_average_path")
+    count("_dominators")
     return calls
 
 
@@ -37,24 +44,33 @@ def _fgn_1024():
 
 
 class TestAveragePathStage:
-    def test_short_curve_runs_all_pairs_as_a_stage(self, counted_all_pairs):
+    """The whole graph's average path comes from the small-world curve,
+    which finds the dominators once."""
+
+    def test_short_curve_runs_all_pairs_as_a_stage(self, kernel_calls):
         stages = run_stages(_fgn_1024(), small_world=True, prefix_sizes=[64, 128, 256])
-        assert counted_all_pairs == [1024]
+        expected = {"_average_path": [64, 128, 256, 1024], "_dominators": [1024]}
+        assert kernel_calls == expected
         text = canonical_json(build_report(stages))
-        assert counted_all_pairs == [1024]  # rendering computes nothing
+        assert kernel_calls == expected  # rendering computes nothing
         assert hashlib.sha256(text.encode()).hexdigest() == SHORT_CURVE_REPORT_SHA256
 
-    def test_full_curve_reuses_its_last_length(self, counted_all_pairs):
+    def test_full_curve_reuses_its_last_length(self, kernel_calls):
         stages = run_stages(_fgn_1024(), small_world=True, prefix_sizes=[64, 1024])
-        assert counted_all_pairs == []
-        assert stages["average_path"] == float(stages["curve"].lengths[-1])
+        assert kernel_calls == {"_average_path": [64, 1024], "_dominators": [1024]}
+        curve = stages["curve"]
+        assert curve.average_path_full == float(curve.lengths[-1])
+        assert curve.average_path_full == tsnet.netstats.all_pairs_average_path(
+            stages["graph"]
+        )
 
-    def test_failed_curve_is_the_stage_error(self, counted_all_pairs):
+    def test_failed_curve_is_the_stage_error(self, kernel_calls):
         stages = run_stages(_fgn_1024(), small_world=True, prefix_sizes=[])
         assert isinstance(stages["curve"], InvalidParam)
-        assert stages["average_path"] is stages["curve"]
-        assert counted_all_pairs == []
+        assert "average_path" not in stages
+        assert kernel_calls == {"_average_path": [], "_dominators": []}
 
-    def test_no_stage_without_small_world(self, counted_all_pairs):
+    def test_no_stage_without_small_world(self, kernel_calls):
         stages = run_stages(_fgn_1024())
-        assert stages["curve"] is None and stages["average_path"] is None
+        assert stages["curve"] is None and "average_path" not in stages
+        assert kernel_calls == {"_average_path": [], "_dominators": []}

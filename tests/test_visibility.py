@@ -336,6 +336,16 @@ class TestVisibilityGraphValidation:
                 m=1,
             )
 
+    @pytest.mark.parametrize("indices", [[2, 0], [1, -1]], ids=["high", "negative"])
+    def test_rejects_neighbor_out_of_range(self, indices):
+        with pytest.raises(ValueError, match="out of range"):
+            VisibilityGraph(
+                n=2,
+                indptr=np.array([0, 1, 2], dtype=np.int64),
+                indices=np.array(indices, dtype=np.int64),
+                m=1,
+            )
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             VisibilityGraph(
