@@ -43,8 +43,6 @@ def linear_fit(x: np.ndarray, y: np.ndarray) -> LineFit:
 
 
 def log_spaced_ints(lo: int, hi: int, count: int) -> np.ndarray:
-    """Deduplicated increasing integers, roughly log-spaced on [lo, hi]."""
-    if hi < lo:
-        raise ValueError(f"empty range [{lo}, {hi}]")
+    """Deduplicated increasing integers, roughly log-spaced on [lo, hi], lo <= hi."""
     grid = np.exp(np.linspace(np.log(lo), np.log(hi), num=count))
     return np.unique(np.clip(np.round(grid).astype(np.int64), lo, hi))

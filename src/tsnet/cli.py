@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import EmptySeries, TsnetError
 from ._fit import log_spaced_ints
 from .fetch import DATASETS, fetch_dataset
-from .generators import KINDS, GeneratorSpec, generate
+from .generators import _ALLOWED_PARAMS, KINDS, GeneratorSpec, generate
 from .report import build_report, canonical_json, run_stages
 from .series import TimeSeries, from_csv
 
@@ -112,11 +112,8 @@ def _write_plots(stages: dict, outdir: Path) -> None:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    for key in ("value", "slope", "intercept", "period", "amplitude", "hurst"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    names = {name for defaults in _ALLOWED_PARAMS.values() for name in defaults}
+    params = {k: v for k, v in vars(args).items() if k in names and v is not None}
     ts = generate(GeneratorSpec(kind=args.kind, n=args.n, seed=args.seed, params=params))
     lines = ["index,value\n"]
     lines.extend(f"{i},{float(v)!r}\n" for i, v in enumerate(ts.values))
@@ -213,12 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--value", type=float, default=None, help="constant level")
-    p.add_argument("--slope", type=float, default=None, help="linear slope")
-    p.add_argument("--intercept", type=float, default=None, help="linear intercept")
-    p.add_argument("--period", type=float, default=None, help="sawtooth/periodic period")
-    p.add_argument("--amplitude", type=float, default=None, help="periodic amplitude")
-    p.add_argument("--hurst", type=float, default=None, help="fgn Hurst exponent")
+    kinds: dict[str, list[str]] = {}
+    for kind, defaults in _ALLOWED_PARAMS.items():
+        for name, default in defaults.items():
+            need = "required" if default is None else f"default {default}"
+            kinds.setdefault(name, []).append(f"{kind} ({need})")
+    for name, uses in kinds.items():
+        p.add_argument(f"--{name}", type=float, help="parameter of " + ", ".join(uses))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("fetch", help="download and normalize a public dataset")

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._fit import linear_fit, log_spaced_ints
 from .errors import DegenerateFit, InvalidParam, ScaleOutOfRange, SeriesTooShort
-from .series import _series_values
+from .series import _centre, _series_values
 
 _MIN_SCALE = 8
 _SCALE_COUNT = 20
@@ -60,7 +60,7 @@ def dfa_fluctuation(ts, scales=None, order: int = 2) -> DfaResult:
                 raise ScaleOutOfRange(
                     f"scale {s} outside [{order + 2}, {n // 4}] for n={n}"
                 )
-    profile = np.cumsum(y - y.mean())
+    profile = np.cumsum(_centre(y)[1])  # equal values deviate by exactly 0
     flucts = np.empty(scale_arr.size, dtype=np.float64)
     for idx, s in enumerate(scale_arr):
         flucts[idx] = _fluctuation_at_scale(profile, int(s), order)

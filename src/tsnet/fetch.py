@@ -20,12 +20,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 
 from .errors import InvalidParam, NetworkError, UnrecognizedFormat
+from .series import _float_or_none
 
 _XLSX_MAGIC = b"PK\x03\x04"
 
@@ -267,11 +267,3 @@ def _normalize_rows(
         if prev[0] == row[0]:
             raise UnrecognizedFormat(f"date {row[0]} appears more than once")
     return out, dropped
-
-
-def _float_or_none(cell: str) -> float | None:
-    try:
-        value = float(cell)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None

@@ -7,6 +7,8 @@ same series, on any platform with IEEE-754 doubles.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,16 +16,17 @@ import numpy as np
 from .errors import InvalidParam
 from .series import TimeSeries
 
+# kind -> {parameter: default}; a default of None marks a required parameter
 _ALLOWED_PARAMS = {
-    "constant": {"value"},
-    "linear": {"slope", "intercept"},
-    "convex": set(),
-    "sawtooth": {"period"},
-    "periodic": {"period", "amplitude"},
-    "iid_uniform": set(),
-    "iid_gaussian": set(),
-    "fgn": {"hurst"},
-    "spike": set(),
+    "constant": {"value": 1.0},
+    "linear": {"slope": 1.0, "intercept": 0.0},
+    "convex": {},
+    "sawtooth": {"period": 8},
+    "periodic": {"period": 64.0, "amplitude": 1.0},
+    "iid_uniform": {},
+    "iid_gaussian": {},
+    "fgn": {"hurst": None},
+    "spike": {},
 }
 
 KINDS = tuple(sorted(_ALLOWED_PARAMS))
@@ -43,52 +46,50 @@ class GeneratorSpec:
             )
         if self.n < 2:
             raise InvalidParam(f"n must be >= 2, got {self.n}")
-        extra = set(self.params) - _ALLOWED_PARAMS[self.kind]
+        extra = set(self.params) - set(_ALLOWED_PARAMS[self.kind])
         if extra:
-            raise InvalidParam(
-                f"{self.kind!r} does not take {sorted(extra)}"
-            )
-        if self.kind == "fgn":
-            h = self.params.get("hurst")
-            if h is None or not (0.0 < float(h) < 1.0):
-                raise InvalidParam("fgn needs hurst in the open interval (0, 1)")
+            raise InvalidParam(f"{self.kind!r} does not take {sorted(extra)}")
+        p = {**_ALLOWED_PARAMS[self.kind], **self.params}
+        for name, value in p.items():
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise InvalidParam(f"{self.kind} needs a finite {name}, got {value!r}")
+        if self.kind == "linear":  # the values are monotone, so check the last
+            last = float(p["intercept"]) + float(p["slope"]) * (self.n - 1)
+            rule, ok = "intercept + slope * (n - 1) within float64", math.isfinite(last)
+        elif self.kind == "sawtooth":
+            rule, ok = "an integer period >= 2", p["period"] >= 2 and p["period"] % 1 == 0
+        elif self.kind == "periodic":
+            rule, ok = "period > 0", p["period"] > 0
+        else:  # fgn; the other kinds take any finite parameters
+            rule, ok = "hurst in (0, 1)", self.kind != "fgn" or 0.0 < p["hurst"] < 1.0
+        if not ok:
+            raise InvalidParam(f"{self.kind} needs {rule}, got n={self.n} and {p}")
 
 
 def generate(spec: GeneratorSpec) -> TimeSeries:
     n = spec.n
-    p = spec.params
-    label = f"{spec.kind}-{n}-s{spec.seed}"
+    p = {**_ALLOWED_PARAMS[spec.kind], **spec.params}
+    t = np.arange(n, dtype=np.float64)
     if spec.kind == "constant":
-        values = np.full(n, float(p.get("value", 1.0)))
+        values = np.full(n, float(p["value"]))
     elif spec.kind == "linear":
-        values = float(p.get("intercept", 0.0)) + float(p.get("slope", 1.0)) * np.arange(
-            n, dtype=np.float64
-        )
+        values = float(p["intercept"]) + float(p["slope"]) * t
     elif spec.kind == "convex":
-        values = np.arange(n, dtype=np.float64) ** 2
+        values = t**2
     elif spec.kind == "sawtooth":
-        period = int(p.get("period", 8))
-        if period < 2:
-            raise InvalidParam(f"sawtooth period must be >= 2, got {period}")
-        values = np.arange(n, dtype=np.float64) % period
+        values = t % p["period"]
     elif spec.kind == "periodic":
-        period = float(p.get("period", 64))
-        if period <= 0:
-            raise InvalidParam(f"periodic period must be > 0, got {period}")
-        amp = float(p.get("amplitude", 1.0))
-        values = amp * np.sin(2.0 * np.pi * np.arange(n) / period)
+        values = float(p["amplitude"]) * np.sin(2.0 * np.pi * t / float(p["period"]))
     elif spec.kind == "iid_uniform":
         values = np.random.default_rng(spec.seed).random(n)
     elif spec.kind == "iid_gaussian":
         values = np.random.default_rng(spec.seed).standard_normal(n)
     elif spec.kind == "fgn":
         values = _fgn(n, float(p["hurst"]), np.random.default_rng(spec.seed))
-    elif spec.kind == "spike":
+    else:  # spike; GeneratorSpec admits no other kind
         values = np.zeros(n)
         values[n // 2] = 1.0
-    else:  # pragma: no cover - guarded by GeneratorSpec
-        raise InvalidParam(spec.kind)
-    return TimeSeries(values=values, label=label)
+    return TimeSeries(values=values, label=f"{spec.kind}-{n}-s{spec.seed}")
 
 
 def _fgn(n: int, h: float, rng: np.random.Generator) -> np.ndarray:

@@ -36,14 +36,17 @@ _CHUNK = 8
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Empirical degree pdf on its support (degrees with nonzero count)."""
+    """Empirical degree pdf on its support (degrees with nonzero count), and
+    the node count per degree when built by :func:`degree_distribution`."""
 
     support: np.ndarray
     pdf: np.ndarray
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.support.size != self.pdf.size or self.support.size == 0:
-            raise ValueError("support and pdf must be non-empty and aligned")
+        sizes = {a.size for a in (self.support, self.pdf, self.counts) if a is not None}
+        if len(sizes) != 1 or self.support.size == 0:
+            raise ValueError("support, pdf and counts must be non-empty and aligned")
 
     @property
     def k_min(self) -> int:
@@ -100,7 +103,8 @@ def degree_distribution(g: VisibilityGraph) -> DegreeDistribution:
     counts = np.bincount(g.degrees())
     support = np.flatnonzero(counts)
     pdf = counts[support] / float(g.n)
-    return DegreeDistribution(support=support.astype(np.int64), pdf=pdf)
+    return DegreeDistribution(support=support.astype(np.int64), pdf=pdf,
+                              counts=counts[support])
 
 
 def fit_powerlaw_tail(
@@ -111,8 +115,12 @@ def fit_powerlaw_tail(
     ``k_min`` defaults to ceil(mean degree), where visibility-graph degree
     pdfs typically enter their power-law regime; the range always runs to
     the maximum degree.  Requires at least three distinct degrees in range.
+    With ``dist.counts`` the default is ceil(2m / n) in integers, which the
+    float sum behind :meth:`~DegreeDistribution.mean_degree` can overshoot.
     """
-    k_lo = int(k_min) if k_min is not None else int(math.ceil(dist.mean_degree()))
+    if k_min is None and dist.counts is not None:
+        k_min = -(-int(dist.support @ dist.counts) // int(dist.counts.sum()))
+    k_lo = int(k_min) if k_min is not None else math.ceil(dist.mean_degree())
     k_hi = dist.k_max
     if k_lo < 1 or k_hi < k_lo:
         raise InvalidParam(f"bad tail range [{k_lo}, {k_hi}]")

@@ -170,7 +170,7 @@ def _read_rows(reader, column, date_column) -> tuple[list[float], list[str]]:
         first = [cell.strip() for cell in next(reader)]
     except StopIteration:
         raise EmptySeries("CSV has no header row") from None
-    headerless = bool(first) and all(_finite_real(cell) for cell in first)
+    headerless = bool(first) and all(_float_or_none(c) is not None for c in first)
     header = None if headerless else first
     col_idx = _resolve_column(header, len(first), column)
     date_idx = None
@@ -220,11 +220,13 @@ def _read_rows(reader, column, date_column) -> tuple[list[float], list[str]]:
     return values, stamps
 
 
-def _finite_real(cell: str) -> bool:
+def _float_or_none(cell: str) -> float | None:
+    """The cell's value if it is a finite real number, else None."""
     try:
-        return math.isfinite(float(cell))
+        value = float(cell)
     except ValueError:
-        return False
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _resolve_column(header: Sequence[str] | None, width: int, column: str | int) -> int:

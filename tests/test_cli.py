@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -50,6 +51,52 @@ class TestGen:
         with pytest.raises(SystemExit) as exc_info:
             run(["gen", "--kind", "nope", "--n", "8"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize("args, name", [
+        (["--kind", "constant", "--n", "5", "--value", "inf"], "value"),
+        (["--kind", "linear", "--n", "4", "--slope", "nan"], "slope"),
+        (["--kind", "linear", "--n", "4", "--slope", "1e308"], "slope"),
+        (["--kind", "sawtooth", "--n", "8", "--period", "2.5"], "period"),
+        (["--kind", "periodic", "--n", "8", "--period", "-1"], "period"),
+        (["--kind", "fgn", "--n", "8"], "hurst"),
+    ])
+    def test_bad_param_is_runtime_error(self, args, name, capsys):
+        # main returns, so no exception escapes as a traceback
+        assert run(["gen", *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tsnet: error:") and name in err
+
+    @pytest.mark.parametrize("kind, args, digest", [
+        ("constant", [], "9665284b057ff4708652da990bc51f46ec473cd086a1ec9bef2bf5f571f67abf"),
+        ("constant", ["--value", "-2.5"],
+         "9e94d63498f77a4716278ac5adbfd6c87f268446d153d7961d88d7ea8c4992f4"),
+        ("linear", [], "7695e87ab466a29afd6b810473d771e268f5e455ba2fd8cf48342c76a9312df5"),
+        ("linear", ["--slope", "-3", "--intercept", "0.5"],
+         "a05e70cf70f0f0214ec053ccff6565ccc425780b4b18a8dca7bf0e678a5f8e27"),
+        ("convex", [], "f8d85531049385660c01bda514a04a5c0f6bc4bfd4f25190c43bb63929082a28"),
+        ("sawtooth", [], "f185d665a78f2d7d098388e082a236626237da10f8fba2c1413b8fddc1901323"),
+        ("sawtooth", ["--period", "3"],
+         "25af57e05ec6849bbb93837fbcb4944f56492d3da532fa34f5884df45531e780"),
+        ("periodic", [], "0155fd6f54173b13c9c5ec54c84d7284e9b8fa012595508c787ecafecbdb8063"),
+        ("periodic", ["--period", "8", "--amplitude", "3"],
+         "a95cb069c4c93d8c5a00ad697e64da19ecaf3bde0cf98fc3941b6f7dc4e5e34e"),
+        ("iid_uniform", [], "5370469ec2e6528a20950d11beabc9822a7399b6304a5287043c041639ad514d"),
+        ("iid_uniform", ["--seed", "5"],
+         "2d0b8971086479ff01e54aa599b0573a97fd7d93e708079406a62fbdbd552295"),
+        ("iid_gaussian", [], "cc8df303f19deca3515eb174606ff1cba2945b7456b315ce6001fa387a1996c2"),
+        ("iid_gaussian", ["--seed", "5"],
+         "c5ecf65ec69ae43f5e6fda740ec1be7a857a5748865ca148fbede38f81a1f223"),
+        ("fgn", ["--hurst", "0.8"],
+         "bc63dccd5f9bf369e4e8c7f42fc458084fd67e4224fc3cef70bc0115ded46ca8"),
+        ("fgn", ["--hurst", "0.3", "--seed", "5"],
+         "097300b19ce00d548a8424b58e06dd57ce022a0af6714a1eeba50007573e4397"),
+        ("spike", [], "b755378a70e0cec95f21495a797cebb0081dacf2dd14a401dbd5bb3f88f8789f"),
+    ])
+    def test_output_pinned(self, kind, args, digest, tmp_path):
+        # every kind, with its defaults and with given parameters
+        out = tmp_path / "s.csv"
+        assert run(["gen", "--kind", kind, "--n", "100", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestAnalyze:
@@ -112,12 +159,15 @@ class TestAnalyze:
         assert report["graph"]["n_nodes"] == 4  # graph stage still ran
 
     def test_constant_series_hurst_fit_reported(self, write_csv, capsys):
-        # F(n) is all zero, so the fit, run while the report renders, fails
-        path = write_csv("value\n" + "3.5\n" * 64)
-        assert run(["analyze", "--input", path]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["hurst"]["error"] == "DegenerateFit"
-        assert report["graph"]["n_nodes"] == 64
+        # F(n) is all zero, so the fit, run while the report renders, fails;
+        # whatever the float mean of the value, as std_dev reads 0 too
+        for value in ("3.5", "0.1", "3.7", "1e-5"):
+            path = write_csv("value\n" + f"{value}\n" * 64)
+            assert run(["analyze", "--input", path]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["hurst"]["error"] == "DegenerateFit", value
+            assert report["summary"]["std_dev"] == 0.0
+            assert report["graph"]["n_nodes"] == 64
 
     def test_failed_graph_marks_dependents_unavailable(self, write_csv, capsys):
         path = write_csv("value\n5.0\n")
@@ -433,3 +483,18 @@ class TestEntryPoint:
         import tsnet
 
         assert tsnet.__version__ == "0.1.0"
+
+    def test_all_lists_the_public_names(self):
+        # pydoc documents a package's functions and classes only through
+        # __all__, as they are defined in its submodules
+        import inspect
+        import pydoc
+
+        import tsnet
+
+        public = {name for name, obj in vars(tsnet).items()
+                  if not name.startswith("_") and not inspect.ismodule(obj)}
+        assert len(tsnet.__all__) == len(set(tsnet.__all__))
+        assert set(tsnet.__all__) == public | {"__version__"}
+        doc = pydoc.render_doc(tsnet, renderer=pydoc.plaintext)
+        assert [name for name in public if name not in doc] == []

@@ -119,10 +119,14 @@ class TestHurst:
         assert 16 <= r.fit_range[0] <= r.fit_range[1] <= 128
 
     def test_constant_series_degenerate(self):
-        r = dfa_fluctuation(np.full(256, 3.0), scales=[8, 16], order=1)
-        assert np.all(r.fluctuations == 0.0)
-        with pytest.raises(DegenerateFit):
-            fit_hurst(dfa_fluctuation(np.full(256, 3.0), scales=[8, 16], order=1))
+        # 0.1, 3.7 and 1e-5 have float means an ulp off the value; the
+        # deviations are still exactly 0
+        for value in (3.0, 0.1, 3.7, 1e-5):
+            for scales in ([8, 16], None):
+                r = dfa_fluctuation(np.full(256, value), scales=scales, order=1)
+                assert np.all(r.fluctuations == 0.0), value
+                with pytest.raises(DegenerateFit):
+                    fit_hurst(r)
 
     def test_result_fields_set(self):
         r = fit_hurst(dfa_fluctuation(fixed_walk(512)))

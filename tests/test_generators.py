@@ -29,6 +29,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidParam):
             GeneratorSpec(kind="fgn", n=16)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("constant", {"value": float("inf")}),
+        ("linear", {"slope": float("nan")}),
+        ("linear", {"intercept": "1"}),
+        ("periodic", {"amplitude": None}),
+        ("fgn", {"hurst": float("nan")}),
+    ])
+    def test_param_must_be_finite_number(self, kind, params):
+        with pytest.raises(InvalidParam):
+            GeneratorSpec(kind=kind, n=16, params=params)
+
+    def test_linear_values_must_fit_float64(self):
+        with pytest.raises(InvalidParam):
+            GeneratorSpec(kind="linear", n=4, params={"slope": 1e308})
+        with pytest.raises(InvalidParam):
+            GeneratorSpec(kind="linear", n=4, params={"slope": -1e308, "intercept": -1e308})
+        GeneratorSpec(kind="linear", n=2, params={"slope": 1e308})
+
     def test_all_kinds_listed(self):
         assert set(KINDS) == {
             "constant",
@@ -61,8 +79,11 @@ class TestDeterministicKinds:
     def test_sawtooth(self):
         ts = generate(GeneratorSpec(kind="sawtooth", n=7, params={"period": 3}))
         assert ts.values.tolist() == [0.0, 1.0, 2.0, 0.0, 1.0, 2.0, 0.0]
-        with pytest.raises(InvalidParam):
-            generate(GeneratorSpec(kind="sawtooth", n=7, params={"period": 1}))
+        same = generate(GeneratorSpec(kind="sawtooth", n=7, params={"period": 3.0}))
+        assert same.values.tolist() == ts.values.tolist()
+        for period in (1, 2.5, 0.0):  # 2.5 is not cut to 2
+            with pytest.raises(InvalidParam):
+                GeneratorSpec(kind="sawtooth", n=7, params={"period": period})
 
     def test_periodic(self):
         ts = generate(
@@ -71,8 +92,9 @@ class TestDeterministicKinds:
         assert ts.values[0] == pytest.approx(0.0, abs=1e-12)
         assert ts.values[2] == pytest.approx(3.0, abs=1e-12)
         assert ts.values.max() <= 3.0 + 1e-12
-        with pytest.raises(InvalidParam):
-            generate(GeneratorSpec(kind="periodic", n=9, params={"period": 0}))
+        for period in (0, -8.0):
+            with pytest.raises(InvalidParam):
+                GeneratorSpec(kind="periodic", n=9, params={"period": period})
 
     def test_spike(self):
         ts = generate(GeneratorSpec(kind="spike", n=9))

@@ -116,6 +116,9 @@ class TestDegreeDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
             DegreeDistribution(support=np.array([1, 2]), pdf=np.array([1.0]))
+        with pytest.raises(ValueError):
+            DegreeDistribution(support=np.array([1, 2]), pdf=np.array([0.5, 0.5]),
+                               counts=np.array([1]))
 
 
 class TestTailFit:
@@ -135,6 +138,32 @@ class TestTailFit:
         fit = fit_powerlaw_tail(dist)
         assert fit.k_range[0] == int(np.ceil(dist.mean_degree()))
         assert fit.k_range[1] == dist.k_max
+
+    def test_default_range_exact_where_float_mean_overshoots(self):
+        # n = 10 and m = 15, so the mean degree is 3, but the float sum
+        # of k p(k) reads 3.0000000000000004
+        g = build_fast(np.array([3, 9, 1, 8, 8, 2, 4, 3, 6, 4], dtype=float))
+        dist = degree_distribution(g)
+        assert (g.n, g.m) == (10, 15) and dist.mean_degree() > 3
+        assert fit_powerlaw_tail(dist).k_range == (3, 6)
+        # a distribution built by hand, without counts, keeps the float rule
+        by_hand = DegreeDistribution(support=dist.support, pdf=dist.pdf)
+        with pytest.raises(InsufficientTailPoints):
+            fit_powerlaw_tail(by_hand)
+
+    def test_default_range_is_ceil_of_exact_mean(self):
+        rng = np.random.default_rng(1)
+        overshoots = 0
+        for _ in range(3000):
+            g = build_fast(rng.integers(0, 10, int(rng.integers(4, 15))).astype(float))
+            dist = degree_distribution(g)
+            k_lo = -(-2 * g.m // g.n)
+            overshoots += int(np.ceil(dist.mean_degree())) != k_lo
+            try:
+                assert fit_powerlaw_tail(dist).k_range[0] == k_lo
+            except InsufficientTailPoints as exc:
+                assert f"[{k_lo}, " in str(exc)
+        assert overshoots > 0  # the sample holds cases the float sum gets wrong
 
     def test_partial_range(self, rng):
         g = build_fast(rng.normal(size=2000))
