@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DegenerateFit
+
 
 @dataclass(frozen=True)
 class LineFit:
@@ -17,19 +19,20 @@ class LineFit:
 def linear_fit(x: np.ndarray, y: np.ndarray) -> LineFit:
     """OLS fit of ``y = slope*x + intercept`` with coefficient of determination.
 
-    Raises ``ValueError`` on fewer than two points or zero variance in x.
-    A perfect fit of constant y is reported as r2 = 1.0 (the 0/0 case).
+    Raises :class:`DegenerateFit` on fewer than two points or zero
+    variance in x.  A perfect fit of constant y is reported as r2 = 1.0
+    (the 0/0 case).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
-        raise ValueError(f"need >= 2 paired points, got {x.size} and {y.size}")
+        raise DegenerateFit(f"need >= 2 paired points, got {x.size} and {y.size}")
     xm = x.mean()
     ym = y.mean()
     dx = x - xm
     sxx = float(np.sum(dx * dx))
     if sxx == 0.0:
-        raise ValueError("zero variance in x; slope undefined")
+        raise DegenerateFit("zero variance in x; slope undefined")
     slope = float(np.sum(dx * (y - ym)) / sxx)
     intercept = float(ym - slope * xm)
     resid = y - (slope * x + intercept)

@@ -22,7 +22,7 @@ _SCALE_COUNT = 20
 _PERSISTENCE_TOL = 1e-9  # exponents this close to 0.5 are uncorrelated
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DfaResult:
     """Fluctuation function and, from :func:`fit_hurst`, the Hurst fit."""
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,8 @@ class GeneratorSpec:
             raise InvalidParam(f"{self.kind!r} does not take {sorted(extra)}")
         p = {**_ALLOWED_PARAMS[self.kind], **self.params}
         for name, value in p.items():
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            # compared, not converted: an int past float64 fails the test
+            if not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
                 raise InvalidParam(f"{self.kind} needs a finite {name}, got {value!r}")
         if self.kind == "linear":  # the values are monotone, so check the last
             last = float(p["intercept"]) + float(p["slope"]) * (self.n - 1)

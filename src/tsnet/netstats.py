@@ -34,7 +34,7 @@ _VERDICT_CLUSTERING_MIN = 0.5
 _CHUNK = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeDistribution:
     """Empirical degree pdf on its support (degrees with nonzero count), and
     the node count per degree when built by :func:`degree_distribution`."""
@@ -70,7 +70,7 @@ class DegreeTailFit:
     n_points: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusteringReport:
     average: float
     c_max: float
@@ -78,12 +78,15 @@ class ClusteringReport:
     per_node: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallWorldCurve:
     """Average path length on growing prefixes, with the ln N fit, and
     the whole graph's average path length.
 
-    Fit fields are None when fewer than two prefix sizes were evaluated.
+    The fit fields, and ``flat`` (slope indistinguishable from zero), are
+    None when fewer than two prefix sizes were evaluated.  The fields are
+    the report's ``small_world`` keys, so stage work counters belong with
+    the stage timings, not here.
     """
 
     sizes: np.ndarray
@@ -91,12 +94,8 @@ class SmallWorldCurve:
     slope: float | None
     intercept: float | None
     r2: float | None
+    flat: bool | None
     average_path_full: float
-
-    @property
-    def flat(self) -> bool:
-        """True when the fitted slope is indistinguishable from zero."""
-        return self.slope is not None and abs(self.slope) < FLAT_SLOPE_EPS
 
 
 def degree_distribution(g: VisibilityGraph) -> DegreeDistribution:
@@ -423,12 +422,14 @@ def small_world_curve(g: VisibilityGraph,
     )
     full = float(lengths[-1]) if sizes[-1] == n else _average_path(g, dom)
     size_arr = np.asarray(sizes, dtype=np.int64)
-    slope = intercept = r2 = None
+    slope = intercept = r2 = flat = None
     if size_arr.size >= 2:
         fit = linear_fit(np.log(size_arr.astype(np.float64)), lengths)
         slope, intercept, r2 = fit.slope, fit.intercept, fit.r2
+        flat = abs(slope) < FLAT_SLOPE_EPS
     return SmallWorldCurve(sizes=size_arr, lengths=lengths, slope=slope,
-                           intercept=intercept, r2=r2, average_path_full=full)
+                           intercept=intercept, r2=r2, flat=flat,
+                           average_path_full=full)
 
 
 def small_world_verdict(curve: SmallWorldCurve, average_clustering: float) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
@@ -82,18 +83,9 @@ def _section(render, result):
 
 
 def _small_world_section(curve, clust) -> dict:
-    return {
-        "sizes": curve.sizes,
-        "lengths": curve.lengths,
-        "slope": curve.slope,
-        "intercept": curve.intercept,
-        "r2": curve.r2,
-        "flat": curve.flat if curve.slope is not None else None,
-        "average_path_full": curve.average_path_full,
-        "verdict": small_world_verdict(curve, clust.average)
-        if curve.r2 is not None and not isinstance(clust, TsnetError)
-        else None,
-    }
+    verdict = (small_world_verdict(curve, clust.average)
+               if curve.r2 is not None and not isinstance(clust, TsnetError) else None)
+    return {**asdict(curve), "verdict": verdict}
 
 
 def _hurst_section(h) -> dict:
@@ -143,25 +135,16 @@ def build_report(stages: dict, source: dict | None = None) -> dict:
     """Render :func:`run_stages`' results; a failed stage reads
     ``{"error": <name>, "detail": ...}`` in its section.  The Hurst fit
     runs here, so its own error (``DegenerateFit``) lands there too.
+    The ``summary``, ``degree_tail`` and ``small_world`` sections are the
+    fields of their result types.
     """
-    stats = stages["summary"]
     graph, clust, curve = stages["graph"], stages["clustering"], stages["curve"]
     return {
         "schema": SCHEMA,
         "tool_version": __version__,
         "label": stages["label"],
         "source": source,
-        "summary": {
-            "n": stats.n,
-            "mean": stats.mean,
-            "median": stats.median,
-            "min": stats.min,
-            "max": stats.max,
-            "std_dev": stats.std_dev,
-            "skewness": stats.skewness,
-            "kurtosis": stats.kurtosis,
-            "kurtosis_convention": "excess",
-        },
+        "summary": {**asdict(stages["summary"]), "kurtosis_convention": "excess"},
         "hurst": _section(lambda f: _hurst_section(fit_hurst(f)), stages["dfa"]),
         "graph": _section(lambda d: {
             "n_nodes": graph.n,
@@ -170,12 +153,7 @@ def build_report(stages: dict, source: dict | None = None) -> dict:
             "k_min": d.k_min,
             "k_max": d.k_max,
         }, stages["dist"]),
-        "degree_tail": _section(lambda f: {
-            "gamma": f.gamma,
-            "r2": f.r2,
-            "k_range": list(f.k_range),
-            "n_points": f.n_points,
-        }, stages["tail"]),
+        "degree_tail": _section(asdict, stages["tail"]),
         "clustering": _section(
             lambda c: {"average": c.average, "c_max": c.c_max, "c_min": c.c_min}, clust
         ),

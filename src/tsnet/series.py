@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmptySeries, MissingColumn, MomentOverflow, ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Ordered finite real observations with an identifying label.
 

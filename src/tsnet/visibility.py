@@ -37,7 +37,7 @@ from .series import _series_values
 _BATCH = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibilityGraph:
     """Undirected simple graph in compressed sparse adjacency form.
 
@@ -68,12 +68,9 @@ class VisibilityGraph:
             rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
             if np.any(indices == rows):
                 raise ValueError("self-loop in adjacency")
-            del rows
-            rising = indices[1:] > indices[:-1]
-            starts = indptr[1:-1]
-            # a row may start below its predecessor's end; empty rows end nothing
-            rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
-            if not rising.all():
+            rows *= self.n  # keys src * n + dst rise iff every row ascends
+            rows += indices
+            if np.any(rows[1:] <= rows[:-1]):
                 raise ValueError("neighbor lists must be strictly ascending")
         indptr.flags.writeable = False
         indices.flags.writeable = False

@@ -455,6 +455,16 @@ class TestEntryPoint:
         for argv in commands:
             assert callable(build_parser().parse_args(argv).func)
 
+    def test_readme_quick_start_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library quick start", 1)[1]
+        exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
+        head, _, text = capsys.readouterr().out.partition("{")
+        report = json.loads("{" + text)  # the last print is the report
+        slope, intercept, r2, flat = head.splitlines()[6].split()
+        assert report["small_world"]["slope"] == round(float(slope), 6)
+        assert report["small_world"]["flat"] is (flat == "True")
+
     def test_analyze_loads_no_network_stack(self, fgn_csv, tmp_path):
         # a fresh interpreter, so no other test's imports count; only fetch
         # needs the network stack, and only its xlsx reader an XML parser

@@ -9,11 +9,14 @@ from tsnet import (
     InvalidParam,
     ScaleOutOfRange,
     SeriesTooShort,
+    TimeSeries,
+    build_report,
     classify_persistence,
     default_scales,
     dfa_fluctuation,
     fit_hurst,
     generate,
+    run_stages,
 )
 
 from oracles import dfa_polyfit
@@ -79,6 +82,12 @@ class TestFluctuation:
             dfa_fluctuation(fixed_walk(), scales=[])
         with pytest.raises(SeriesTooShort):
             dfa_fluctuation(np.array([1.0, 2.0, 3.0]))  # default grid impossible
+        # repeated scales leave ln n without variance, so the fit fails, and
+        # the report says so in its hurst section
+        with pytest.raises(DegenerateFit):
+            fit_hurst(dfa_fluctuation(fixed_walk(), scales=[16, 16]))
+        stages = run_stages(TimeSeries(fixed_walk()), dfa_scales=[16, 16])
+        assert build_report(stages)["hurst"]["error"] == "DegenerateFit"
 
 
 class TestDefaultScales:

@@ -163,7 +163,8 @@ class TestFetchDataset:
         ("us-daily", "year,month,day,daily_policy_index\nNote: rebased,,,\n",
          "no data rows recognized"),
         ("cn-monthly", "year,month\n1995,1\n", "expected 1 value columns, found 0"),
-    ], ids=["footnotes-only", "no-value-column"])
+        ("us-daily", "year,month,day,daily_policy_index\n", "file has no data rows"),
+    ], ids=["footnotes-only", "no-value-column", "header-only"])
     def test_unusable_table_unrecognized(self, tmp_path, name, raw, detail):
         url = file_url(tmp_path, "table.csv", raw)
         with pytest.raises(UnrecognizedFormat, match=detail):
@@ -267,6 +268,13 @@ class TestXlsx:
         }),
         "cell-reference": replace_parts(GOOD, {
             "xl/worksheets/sheet1.xml": sheet('<row><c r="b1"><v>1</v></c></row>')
+        }),
+        "cell-out-of-order": replace_parts(GOOD, {
+            "xl/worksheets/sheet1.xml": sheet(
+                '<row><c r="B1"><v>1</v></c><c r="A1"><v>2</v></c></row>')
+        }),
+        "cell-past-last-column": replace_parts(GOOD, {
+            "xl/worksheets/sheet1.xml": sheet('<row><c r="XFE1"><v>1</v></c></row>')
         }),
         "sheet-not-xml": replace_parts(GOOD, {"xl/worksheets/sheet1.xml": b"not xml"}),
         "corrupt-deflate": corrupt_member(GOOD, "xl/worksheets/sheet1.xml"),

@@ -35,9 +35,10 @@ class TestSpecValidation:
         ("linear", {"intercept": "1"}),
         ("periodic", {"amplitude": None}),
         ("fgn", {"hurst": float("nan")}),
+        ("constant", {"value": 10**400}),  # an int past float64
     ])
     def test_param_must_be_finite_number(self, kind, params):
-        with pytest.raises(InvalidParam):
+        with pytest.raises(InvalidParam, match=next(iter(params))):
             GeneratorSpec(kind=kind, n=16, params=params)
 
     def test_linear_values_must_fit_float64(self):

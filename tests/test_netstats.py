@@ -586,7 +586,7 @@ class TestSmallWorld:
 
     def test_single_size_has_no_fit(self, rng):
         curve = small_world_curve(build_fast(rng.normal(size=128)), sizes=[128])
-        assert curve.slope is None and curve.r2 is None
+        assert curve.slope is None and curve.r2 is None and curve.flat is None
         with pytest.raises(DegenerateFit):
             small_world_verdict(curve, average_clustering=0.7)
 

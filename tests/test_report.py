@@ -43,6 +43,18 @@ def _fgn_1024():
     return generate(GeneratorSpec(kind="fgn", n=1024, seed=3, params={"hurst": 0.8}))
 
 
+@pytest.mark.parametrize("stage", ["series", "dfa", "graph", "dist", "clustering", "curve"])
+def test_array_results_compare_by_identity(stage):
+    # TimeSeries, DfaResult, VisibilityGraph, DegreeDistribution,
+    # ClusteringReport and SmallWorldCurve hold arrays
+    def result():
+        ts = generate(GeneratorSpec(kind="fgn", n=128, seed=3, params={"hurst": 0.8}))
+        return {"series": ts, **run_stages(ts, small_world=True, prefix_sizes=[64, 128])}[stage]
+
+    a, b = result(), result()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+
+
 class TestAveragePathStage:
     """The whole graph's average path comes from the small-world curve,
     which finds the dominators once."""
