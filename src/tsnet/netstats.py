@@ -141,7 +141,7 @@ def _common_neighbors(g: VisibilityGraph) -> tuple[np.ndarray, np.ndarray, np.nd
     order, with its count of common neighbors (triangles on the edge).
 
     Counted exactly, as integers, from neighbor bitsets (the bit-parallel
-    scheme of :func:`all_pairs_average_path`): each chunk of 64 * words
+    scheme of :func:`_block_sums`): each chunk of 64 * words
     nodes gets an ``(n, words)`` uint64 array whose row w has bit s set iff
     w is adjacent to chunk node s.  An edge (u, v) whose rows both hold a
     bit (the active rows, read off the chunk's CSR neighbor lists) gains
@@ -264,11 +264,104 @@ def _pass_words(n: int, m: int) -> int:
 def all_pairs_average_path(g: VisibilityGraph) -> float:
     """Exact mean shortest-path length over all unordered node pairs.
 
+    The ordered-pair distance sum, exact in Python integers, over
+    ``n * (n - 1)``: :func:`_prefix_pair_sums` folds it over the chain of
+    blocks between cut vertices, and :func:`_block_sums` runs each block.
+    """
+    return _prefix_pair_sums(g)(g.n) / (g.n * (g.n - 1))
+
+
+def _prefix_pair_sums(g: VisibilityGraph):
+    """A function of k that gives the ordered-pair distance sum of
+    ``g.prefix(k)``.
+
+    A natural visibility graph holds the path 0-1-...-n-1, so an interior
+    node t is a cut vertex exactly when no edge (a, b) has a < t < b: a
+    difference array over the edges finds them all.  The blocks are the
+    intervals [a, b] between consecutive cut vertices (and the two ends),
+    and they form a chain.  Where G1 and G2 share only the node c, with
+    sizes n1 and n2 counting c and distance sums D1(c) and D2(c) from c,
+    the unordered pair sum is W1 + W2 + (n1 - 1) D2(c) + (n2 - 1) D1(c)
+    (the cut-vertex rule for the Wiener index; Dobrynin, Entringer &
+    Gutman, Acta Appl. Math. 66, 2001).  So the blocks fold left to
+    right, keeping the ordered pair sum W, the size s and the distance
+    sum D from the last node: block [a, b] of n_B nodes, with ordered pair
+    sum W_B, end sums D_B(a), D_B(b) and distance d_B(a, b), gives
+
+        W' = W + W_B + 2 ((s - 1) D_B(a) + (n_B - 1) D)
+        D' = D_B(b) + (s - 1) d_B(a, b) + D,    s' = s + n_B - 1,
+
+    all in Python integers.  A 2-node block is one edge, and any other
+    block is one :func:`_block_sums` call.  A graph without every edge
+    (i, i + 1) is one block, which keeps the kernel's errors.
+
+    Block [a, b] of prefix k is the subgraph induced by a..b, whatever k
+    is, so its four integers are cached by (a, b) across calls: along a
+    small-world curve only a prefix's new tail blocks run the kernel.
+
+    The dominators of ``g`` serve every block, shifted by its start,
+    because no dominator below k lies outside its node's block.  A
+    dominator is a neighbor, and a node that is not a cut vertex has all
+    its neighbors in its block: an edge out of the block would pass over
+    a cut vertex.  A cut vertex t has no dominator below k: one would be
+    adjacent to t - 1 and t + 1, so it is one of them, with the edge
+    (t - 1, t + 1), or another node with an edge to one of them, and
+    either edge passes over t.  A dominator at k or beyond is at least
+    the block's size once shifted, so it reads as none.
+    """
+    dom = _dominators(g)
+    u, v = g.edge_array().T
+    blocks = {}
+
+    def pair_sum(k: int) -> int:
+        if k < 2:
+            raise InvalidParam("average path length needs at least 2 nodes")
+        inside = v < k
+        lo, hi = u[inside], v[inside]
+        ends = [0, k - 1]
+        if np.count_nonzero(hi - lo == 1) == k - 1:  # holds the path 0-1-...-k-1
+            # over[t] counts the edges (a, b) with a < t < b
+            over = np.cumsum(np.bincount(lo + 1, minlength=k) - np.bincount(hi, minlength=k))
+            ends = np.flatnonzero(over == 0).tolist()
+        total, size, dist = 0, 1, 0  # W, s and D of node 0 alone
+        for a, b in zip(ends, ends[1:]):
+            if (a, b) not in blocks:
+                blocks[a, b] = (2, 1, 1, 1) if b == a + 1 else _block_sums(
+                    _induced(g, a, b), dom[a : b + 1] - a)
+            w, da, db, dab = blocks[a, b]
+            total += w + 2 * ((size - 1) * da + (b - a) * dist)
+            dist += db + (size - 1) * dab
+            size += b - a
+        return total
+
+    return pair_sum
+
+
+def _induced(g: VisibilityGraph, a: int, b: int) -> VisibilityGraph:
+    """Subgraph induced by nodes ``a..b``, relabeled from 0."""
+    lo = g.indptr[a]
+    head = g.indices[lo : g.indptr[b + 1]]
+    keep = (head >= a) & (head <= b)
+    indptr = np.concatenate(([0], np.cumsum(keep)))[g.indptr[a : b + 2] - lo]
+    return VisibilityGraph(n=b - a + 1, indptr=indptr, indices=head[keep] - a,
+                           m=int(indptr[-1]) // 2)
+
+
+def _block_sums(g: VisibilityGraph, dom: np.ndarray) -> tuple[int, int, int, int]:
+    """``(W, D(0), D(n - 1), d(0, n - 1))`` of ``g``: its ordered-pair
+    distance sum, the distance sums from its first and last node, and the
+    distance between them, given ``dom``, the :func:`_dominators` of ``g``
+    or of a graph that ``g`` is a block of: node u is read from level 2 on
+    only if ``dom[u] >= g.n``.
+
     Bit-parallel multi-source breadth-first search (Akiba, Iwata &
     Yoshida 2013; Then et al. 2014): each pass carries up to 512 sources
     as one bit each in a ``(n, words)`` uint64 array and expands all of
     their frontiers at once, one level per step.  Distances are summed as
-    Python integers, so the result is identical at any pass width.
+    Python integers, so the result is identical at any pass width.  An
+    end node's distance sum is the sum over levels l >= 0 of the nodes it
+    has not reached by level l, read off its bit column of the unseen
+    bits; d(0, n - 1) counts the levels before node n - 1 sees node 0.
 
     Level 1 scatters each source's bit over its neighbor list.  From
     level 2 on, a node ORs together the frontiers of its undominated
@@ -296,16 +389,7 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
     pair is reached.  Source ``s`` still owns its own bit, so the sum
     does not depend on the labels.
     """
-    return _average_path(g, _dominators(g))
-
-
-def _average_path(g: VisibilityGraph, dom: np.ndarray) -> float:
-    """:func:`all_pairs_average_path` of ``g`` given ``dom``, the
-    :func:`_dominators` of ``g`` or of a graph that ``g`` is a prefix of:
-    node u is read from level 2 on only if ``dom[u] >= g.n``."""
     n = g.n
-    if n < 2:
-        raise InvalidParam("average path length needs at least 2 nodes")
     indptr, indices = g.indptr, g.indices
     deg = g.degrees()
     # Also required by the kernel: a node without neighbors has no chunk.
@@ -337,7 +421,9 @@ def _average_path(g: VisibilityGraph, dom: np.ndarray) -> float:
             ((n, np.uint64), (n, np.uint64), (n, np.uint8),
              (slots.shape[1], np.uint64), (slots.shape[1], np.uint64))]
 
-    def pass_sum(start: int) -> int:
+    total, far = 0, 1  # far is d(0, n - 1)
+    end_sums = {0: n - 1, n - 1: n - 1}  # by level 0, each end has reached itself
+    for start in range(0, n, width):
         k = min(width, n - start)
         words = -(-k // 64)
         frontier, unseen, counts, gathered, scratch = (
@@ -354,11 +440,18 @@ def _average_path(g: VisibilityGraph, dom: np.ndarray) -> float:
         frontier.fill(0)
         np.bitwise_or.at(frontier, (label[indices[lo:hi]], bit // 64), bits[bit])
         unseen ^= frontier
-        total = int(hi - lo)
-        reached = k + total
+        total += int(hi - lo)
+        reached = k + int(hi - lo)
         level = 1
         settled = int(np.argmax(unseen.reshape(-1) != 0)) // words
-        while reached < k * n:  # rows before settled have no unseen bit
+        tracked = [(s, s - start) for s in end_sums if start <= s < start + k]
+        while True:  # rows before settled have no unseen bit
+            for s, b in tracked:
+                end_sums[s] += int(np.count_nonzero(unseen[settled:, b // 64] & bits[b]))
+            if start == 0:
+                far += bool(unseen[label[n - 1], 0] & bits[0])
+            if reached == k * n:
+                break
             level += 1
             c = first[settled]
             # mode="clip" lets take write into out without a buffer copy
@@ -382,11 +475,7 @@ def _average_path(g: VisibilityGraph, dom: np.ndarray) -> float:
             reached += count
             unseen[settled:] ^= frontier[settled:]
             settled += int(np.argmax(unseen[settled:].reshape(-1) != 0)) // words
-        return total
-
-    total = sum(pass_sum(s) for s in range(0, n, width))
-    # total counts ordered pairs; each unordered pair appears twice
-    return total / (n * (n - 1))
+    return total, end_sums[0], end_sums[n - 1], far
 
 
 def default_prefix_sizes(n: int) -> list[int]:
@@ -403,7 +492,9 @@ def small_world_curve(g: VisibilityGraph,
 
     The graph of the first k samples is ``g.prefix(k)``, an induced
     subgraph, so the dominators of ``g`` serve every prefix, and the whole
-    graph too where the last size is below ``g.n``.
+    graph too where the last size is below ``g.n``.  Each length is one
+    fold of :func:`_prefix_pair_sums` over blocks shared by the whole
+    curve, so a block runs the kernel once, in the first prefix that has it.
     """
     n = g.n
     if sizes is None:
@@ -416,11 +507,9 @@ def small_world_curve(g: VisibilityGraph,
             raise InvalidParam(f"prefix sizes must lie in [2, {n}]")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InvalidParam("prefix sizes must be strictly increasing")
-    dom = _dominators(g)
-    lengths = np.array(
-        [_average_path(g.prefix(k), dom[:k]) for k in sizes], dtype=np.float64
-    )
-    full = float(lengths[-1]) if sizes[-1] == n else _average_path(g, dom)
+    pair_sum = _prefix_pair_sums(g)
+    lengths = np.array([pair_sum(k) / (k * (k - 1)) for k in sizes], dtype=np.float64)
+    full = float(lengths[-1]) if sizes[-1] == n else pair_sum(n) / (n * (n - 1))
     size_arr = np.asarray(sizes, dtype=np.int64)
     slope = intercept = r2 = flat = None
     if size_arr.size >= 2:

@@ -82,8 +82,8 @@ def graph_from_pairs(n: int, pairs) -> VisibilityGraph:
     )
 
 
-def floyd_warshall_average_path(g: VisibilityGraph) -> float:
-    """Mean shortest-path length over unordered pairs, O(n^3)."""
+def floyd_warshall_distances(g: VisibilityGraph) -> np.ndarray:
+    """All-pairs hop distances as floats, O(n^3)."""
     n = g.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
@@ -93,7 +93,19 @@ def floyd_warshall_average_path(g: VisibilityGraph) -> float:
         dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
     if np.isinf(dist).any():
         raise ValueError("disconnected")
-    return float(dist.sum() / (n * (n - 1)))
+    return dist
+
+
+def floyd_warshall_average_path(g: VisibilityGraph) -> float:
+    """Mean shortest-path length over unordered pairs, O(n^3)."""
+    n = g.n
+    return float(floyd_warshall_distances(g).sum() / (n * (n - 1)))
+
+
+def cut_vertices(g: VisibilityGraph) -> list[int]:
+    """Interior nodes t that no edge (a, b) passes over, a < t < b."""
+    u, v = g.edge_array().T
+    return [t for t in range(1, g.n - 1) if not np.any((u < t) & (v > t))]
 
 
 def clustering_by_triples(g: VisibilityGraph):

@@ -29,8 +29,10 @@ from oracles import (
     assortativity_direct,
     closed_neighborhoods,
     clustering_by_triples,
+    cut_vertices,
     dominators_by_sets,
     floyd_warshall_average_path,
+    floyd_warshall_distances,
     graph_from_pairs,
     neighbors,
 )
@@ -299,6 +301,18 @@ def _connected_graphs(draw):
     return graph_from_pairs(n, [(perm[a], perm[b]) for a, b in pairs])
 
 
+def _assert_exact(g):
+    """The average path, and the kernel's four integers on the whole graph,
+    against Floyd-Warshall.  Graphs that hold the path 0-1-...-n-1 reach
+    the kernel only in blocks through the public function, so the kernel
+    also runs on the whole graph here."""
+    n = g.n
+    dist = floyd_warshall_distances(g)
+    assert all_pairs_average_path(g) == dist.sum() / (n * (n - 1))
+    want = (dist.sum(), dist[0].sum(), dist[-1].sum(), dist[0, -1])
+    assert netstats._block_sums(g, netstats._dominators(g)) == tuple(map(int, want))
+
+
 class TestBitParallelBfs:
     """Exact agreement with Floyd-Warshall on graphs that stress the kernel."""
 
@@ -315,20 +329,17 @@ class TestBitParallelBfs:
         ],
     )
     def test_adversarial_graphs(self, make, n):
-        g = make(n)
-        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+        _assert_exact(make(n))
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 129])
     def test_word_boundaries(self, n, rng):
         for g in (_path_graph(n), build_fast(rng.normal(size=n))):
-            assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+            _assert_exact(g)
 
     @pytest.mark.parametrize("words", [1, 2, 8])
     def test_pass_width_does_not_change_value(self, words, monkeypatch):
-        g = _spike_graph(129)
-        expected = floyd_warshall_average_path(g)
         monkeypatch.setattr(netstats, "_pass_words", lambda n, m: words)
-        assert all_pairs_average_path(g) == expected
+        _assert_exact(_spike_graph(129))
 
     @pytest.mark.parametrize("n", [8, 9, 10, 17, 18])
     def test_complete_graphs_at_chunk_edges(self, n):
@@ -337,20 +348,20 @@ class TestBitParallelBfs:
         # other node reads node 0: all pairs are reached at level 1
         g = _complete_graph(n)
         assert netstats._dominators(g).tolist() == [n] + [0] * (n - 1)
-        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+        _assert_exact(g)
 
     def test_path_has_no_multi_chunk_row(self):
         # every row fits one chunk, so reduceat gets no rows at all
         g = _path_graph(100)
         assert g.degrees().max() <= netstats._CHUNK
-        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+        _assert_exact(g)
 
     def test_star_hub_spans_many_chunks(self):
         # a star's leaves are dominated by its hub, so the hub here has
         # legs of two nodes: it reads all 300 near nodes, 38 chunks
         g = _spider_graph(300, 2)
         assert -(-_reads(g).max() // netstats._CHUNK) == 38
-        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+        _assert_exact(g)
 
     @pytest.mark.parametrize("legs", [7, 8, 9, 16, 17])
     def test_hub_reads_at_chunk_edges(self, legs):
@@ -358,20 +369,18 @@ class TestBitParallelBfs:
         # chunks, two full chunks plus one
         g = _spider_graph(legs, 3)
         assert _reads(g)[0] == legs
-        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+        _assert_exact(g)
 
     def test_walk_prefixes(self):
         g = _walk_graph(160, np.random.default_rng(5))
         for k in default_prefix_sizes(g.n):
-            h = g.prefix(k)
-            assert all_pairs_average_path(h) == floyd_warshall_average_path(h)
+            _assert_exact(g.prefix(k))
 
     @pytest.mark.parametrize("chunk", [1, 2, 8, 64])
     def test_chunk_width_does_not_change_value(self, chunk, monkeypatch):
         g = _walk_graph(129, np.random.default_rng(3))
-        expected = floyd_warshall_average_path(g)
         monkeypatch.setattr(netstats, "_CHUNK", chunk)
-        assert all_pairs_average_path(g) == expected
+        _assert_exact(g)
 
     @pytest.mark.parametrize("chunk", [1, 2, 8, 64])
     def test_degree_ladder(self, chunk, monkeypatch):
@@ -380,9 +389,8 @@ class TestBitParallelBfs:
         reads = _reads(g)
         assert sorted(set(reads[reads <= 8])) == list(range(1, 9))
         assert reads.max() > 16
-        expected = floyd_warshall_average_path(g)
         monkeypatch.setattr(netstats, "_CHUNK", chunk)
-        assert all_pairs_average_path(g) == expected
+        _assert_exact(g)
 
     @pytest.mark.parametrize("words", [1, 4])
     def test_spider_settles_mid_pass(self, words, monkeypatch):
@@ -390,18 +398,16 @@ class TestBitParallelBfs:
         # ring, while the tips still wait for the far legs
         g = _spider_graph(40, 6)
         assert netstats._pass_words(g.n, g.m) == 4
-        expected = floyd_warshall_average_path(g)
         monkeypatch.setattr(netstats, "_pass_words", lambda n, m: words)
-        assert all_pairs_average_path(g) == expected
+        _assert_exact(g)
 
     @settings(max_examples=100, deadline=None)
     @given(_connected_graphs())
     def test_random_connected_graphs(self, g):
-        expected = floyd_warshall_average_path(g)
         for words in (1, 8):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(netstats, "_pass_words", lambda n, m: words)
-                assert all_pairs_average_path(g) == expected
+                _assert_exact(g)
 
     @pytest.mark.parametrize("isolated", [0, 40, 79])
     def test_isolated_node_is_disconnected(self, isolated):
@@ -428,6 +434,10 @@ def _series(kind, n, rng):
         return rng.integers(-3, 4, size=n) * 3.7
     if kind == "walk1":  # a random walk rounded to one decimal
         return np.round(np.cumsum(rng.normal(size=n)), 1)
+    if kind == "sqrt10":  # concave with rounding ties: hundreds of cut vertices
+        return np.round(10 * np.sqrt(np.arange(1.0, n + 1)), 1)
+    if kind == "fgn":
+        return _fgn(n, int(rng.integers(1 << 16)))
     return rng.normal(size=n)
 
 
@@ -473,12 +483,128 @@ class TestDominators:
         pytest.param(lambda: np.cumsum(_fgn(2048, 0)) + 0.02 * np.cumsum(_fgn(2048, 7)),
                      id="walk-2048-seed7"),
     ])
-    def test_all_pairs_reads_under_sixty_percent(self, y):
+    def test_all_pairs_reads_under_sixty_percent(self, y, monkeypatch):
         # exact, host-independent cost gate: the entries read from level 2
-        # on (0.56-0.58 of them on these graphs when this gate was set)
+        # on (0.56-0.58 of them on these graphs when this gate was set), on
+        # the whole graph and summed over the blocks that the fold runs
         g = build_fast(y())
         dom = netstats._dominators(g)
         assert np.count_nonzero(dom[g.indices] >= g.n) <= 0.60 * 2 * g.m
+        counts = []
+        kernel = netstats._block_sums
+
+        def counted(h, d):
+            counts.append((np.count_nonzero(d[h.indices] >= h.n), 2 * h.m))
+            return kernel(h, d)
+
+        monkeypatch.setattr(netstats, "_block_sums", counted)
+        all_pairs_average_path(g)
+        reads, entries = np.sum(counts, axis=0)
+        assert reads <= 0.60 * entries
+
+
+@pytest.fixture
+def kernel_sizes(monkeypatch):
+    """Node counts of the graphs that the all-pairs kernel runs on."""
+    sizes = []
+    kernel = netstats._block_sums
+
+    def counted(g, dom):
+        sizes.append(g.n)
+        return kernel(g, dom)
+
+    monkeypatch.setattr(netstats, "_block_sums", counted)
+    return sizes
+
+
+@st.composite
+def _chains(draw):
+    # the path 0-1-...-n-1 plus short extra edges, so a random chain of
+    # blocks, and a few prefix sizes
+    n = draw(st.integers(2, 80))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(2, 8)),
+                          max_size=n // 2))
+    pairs = [(i, i + 1) for i in range(n - 1)] + [(a, a + d) for a, d in extra if a + d < n]
+    sizes = draw(st.lists(st.integers(2, n), min_size=1, max_size=5, unique=True))
+    return graph_from_pairs(n, pairs), sorted(sizes)
+
+
+class TestBlockFold:
+    """All-pairs as a fold over the chain of blocks between cut vertices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_chains())
+    def test_random_chains_match_floyd_warshall(self, chain):
+        g, sizes = chain
+        full = floyd_warshall_average_path(g)
+        assert all_pairs_average_path(g) == full
+        curve = small_world_curve(g, sizes=sizes)
+        assert curve.lengths.tolist() == [
+            floyd_warshall_average_path(g.prefix(k)) for k in sizes
+        ]
+        assert curve.average_path_full == full
+        self.assert_dominators_inside_blocks(g, sizes)
+
+    @staticmethod
+    def assert_dominators_inside_blocks(g, sizes):
+        # a dominator below the prefix length lies in its node's block of
+        # the prefix, and a cut vertex of the prefix has none there
+        dom = netstats._dominators(g)
+        for k in sizes:
+            cuts = cut_vertices(g.prefix(k))
+            assert np.all(dom[cuts] >= k)
+            ends = [0, *cuts, k - 1]
+            for a, b in zip(ends, ends[1:]):
+                d = dom[a : b + 1]
+                assert np.all(((a <= d) & (d <= b)) | (d >= k))
+
+    @pytest.mark.parametrize("kind", ["fgn", "walk1", "ties", "sqrt10", "plateaus"])
+    def test_no_dominator_outside_its_block(self, kind, rng):
+        for n in (64, 300):
+            g = build_fast(_series(kind, n, rng))
+            self.assert_dominators_inside_blocks(g, default_prefix_sizes(n))
+
+    @pytest.mark.parametrize("kind", ["fgn", "walk1", "ties", "sqrt10"])
+    def test_curve_equals_kernel_on_each_prefix(self, kind, rng):
+        g = build_fast(_series(kind, 700, rng))
+        dom = netstats._dominators(g)
+        curve = small_world_curve(g)
+        assert len(cut_vertices(g)) > 0
+        for k, length in zip(curve.sizes.tolist(), curve.lengths.tolist()):
+            assert length == netstats._block_sums(g.prefix(k), dom[:k])[0] / (k * (k - 1))
+
+    def test_graph_without_a_path_edge_is_one_block(self, kernel_sizes):
+        # a path with (20, 21) swapped for (19, 21): split at the nodes no
+        # edge passes over, it would be 38 blocks
+        g = graph_from_pairs(40, [(i, i + 1) for i in range(39) if i != 20] + [(19, 21)])
+        assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
+        assert kernel_sizes == [40]
+
+    def test_blocks_run_once_per_curve(self, kernel_sizes):
+        # blocks [0, 4] and [4, 9] of prefix 10 serve prefix 16, which
+        # adds [9, 15]; the whole graph adds [15, 19], and its 2-node
+        # block [19, 20] needs no kernel
+        pairs = [(i, i + 1) for i in range(20)]
+        pairs += [(0, 4), (4, 9), (9, 15), (15, 19), (10, 15)]
+        g = graph_from_pairs(21, pairs)
+        curve = small_world_curve(g, sizes=[10, 16])
+        assert kernel_sizes == [5, 6, 7, 5]
+        assert curve.average_path_full == floyd_warshall_average_path(g)
+
+    @pytest.mark.parametrize("y", [
+        pytest.param(lambda: np.sqrt(np.arange(1.0, 4097.0)), id="sqrt"),
+        pytest.param(lambda: generate(GeneratorSpec(kind="linear", n=4096)).values,
+                     id="linear"),
+    ])
+    def test_path_graphs_need_no_kernel(self, y, kernel_sizes):
+        # every interior node is a cut vertex, so every block is one edge;
+        # the kernel alone took seconds here, and minutes at N = 12,368
+        g = build_fast(y())
+        assert g.m == g.n - 1
+        assert all_pairs_average_path(g) == (g.n + 1) / 3
+        curve = small_world_curve(g)
+        assert curve.lengths.tolist() == [(k + 1) / 3 for k in curve.sizes.tolist()]
+        assert kernel_sizes == []
 
 
 _KITE = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]

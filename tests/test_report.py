@@ -21,9 +21,9 @@ SHORT_CURVE_REPORT_SHA256 = "b63785aea590578751d57575dae33d615082596df3c6c447dab
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The node counts of the graphs that ``_average_path`` and
+    """The node counts of the graphs that ``_block_sums`` and
     ``_dominators`` see, by kernel name."""
-    calls = {"_average_path": [], "_dominators": []}
+    calls = {"_block_sums": [], "_dominators": []}
 
     def count(name):
         original = getattr(tsnet.netstats, name)
@@ -34,7 +34,7 @@ def kernel_calls(monkeypatch):
 
         monkeypatch.setattr(tsnet.netstats, name, counted)
 
-    count("_average_path")
+    count("_block_sums")
     count("_dominators")
     return calls
 
@@ -57,11 +57,19 @@ def test_array_results_compare_by_identity(stage):
 
 class TestAveragePathStage:
     """The whole graph's average path comes from the small-world curve,
-    which finds the dominators once."""
+    which finds the dominators once and runs each block of more than two
+    nodes once, in the first prefix that has it."""
 
     def test_short_curve_runs_all_pairs_as_a_stage(self, kernel_calls):
         stages = run_stages(_fgn_1024(), small_world=True, prefix_sizes=[64, 128, 256])
-        expected = {"_average_path": [64, 128, 256, 1024], "_dominators": [1024]}
+        blocks = (
+            [5, 55, 6]  # prefix 64: [0, 4], [4, 58], [58, 63]
+            + [68, 3]  # prefix 128 adds [58, 125], [125, 127]
+            + [135, 54, 11]  # prefix 256 adds [58, 192], [192, 245], [245, 255]
+            # the whole graph adds [192, 489], [489, 879], [879, 995], [995, 1022]
+            + [298, 391, 117, 28]
+        )
+        expected = {"_block_sums": blocks, "_dominators": [1024]}
         assert kernel_calls == expected
         text = canonical_json(build_report(stages))
         assert kernel_calls == expected  # rendering computes nothing
@@ -69,7 +77,11 @@ class TestAveragePathStage:
 
     def test_full_curve_reuses_its_last_length(self, kernel_calls):
         stages = run_stages(_fgn_1024(), small_world=True, prefix_sizes=[64, 1024])
-        assert kernel_calls == {"_average_path": [64, 1024], "_dominators": [1024]}
+        # the whole graph reuses [0, 4] and [4, 58] of prefix 64, and runs
+        # [58, 192] and the blocks after it
+        assert kernel_calls == {
+            "_block_sums": [5, 55, 6, 135, 298, 391, 117, 28], "_dominators": [1024]
+        }
         curve = stages["curve"]
         assert curve.average_path_full == float(curve.lengths[-1])
         assert curve.average_path_full == tsnet.netstats.all_pairs_average_path(
@@ -80,9 +92,9 @@ class TestAveragePathStage:
         stages = run_stages(_fgn_1024(), small_world=True, prefix_sizes=[])
         assert isinstance(stages["curve"], InvalidParam)
         assert "average_path" not in stages
-        assert kernel_calls == {"_average_path": [], "_dominators": []}
+        assert kernel_calls == {"_block_sums": [], "_dominators": []}
 
     def test_no_stage_without_small_world(self, kernel_calls):
         stages = run_stages(_fgn_1024())
         assert stages["curve"] is None and "average_path" not in stages
-        assert kernel_calls == {"_average_path": [], "_dominators": []}
+        assert kernel_calls == {"_block_sums": [], "_dominators": []}
