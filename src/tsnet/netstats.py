@@ -8,6 +8,7 @@ growing-window small-world curve L(N) vs ln N.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,16 +137,29 @@ def fit_powerlaw_tail(
     )
 
 
+_triangle_memo = weakref.WeakKeyDictionary()  # a graph hashes by identity
+
+
+def _triangles(g: VisibilityGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_common_neighbors` of ``g``, counted once and kept while ``g`` lives."""
+    if g not in _triangle_memo:
+        _triangle_memo[g] = _common_neighbors(g)
+    return _triangle_memo[g]
+
+
 def _common_neighbors(g: VisibilityGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every edge ``(u, v)``, ``u < v``, in :meth:`~VisibilityGraph.edge_array`
-    order, with its count of common neighbors (triangles on the edge).
+    order, with its count of common neighbors (triangles on the edge), as
+    read-only arrays that :func:`clustering` and :func:`_dominators` share
+    through :func:`_triangles`, so a graph is counted once.
 
     Counted exactly, as integers, from neighbor bitsets (the bit-parallel
     scheme of :func:`_block_sums`): each chunk of 64 * words
     nodes gets an ``(n, words)`` uint64 array whose row w has bit s set iff
-    w is adjacent to chunk node s.  An edge (u, v) whose rows both hold a
-    bit (the active rows, read off the chunk's CSR neighbor lists) gains
-    the popcount of ``row u & row v``, its common neighbors in the chunk.
+    w is adjacent to chunk node s, scattered through its flat view.  An
+    edge (u, v) whose rows both hold a bit (the active rows, read off the
+    chunk's CSR neighbor lists) gains the popcount of ``row u & row v``,
+    its common neighbors in the chunk.
     """
     n, indptr, indices = g.n, g.indptr, g.indices
     u, v = g.edge_array().T
@@ -156,16 +170,19 @@ def _common_neighbors(g: VisibilityGraph) -> tuple[np.ndarray, np.ndarray, np.nd
         lo, hi = indptr[start], indptr[start + k]
         bit = np.repeat(np.arange(k), np.diff(indptr[start : start + k + 1]))
         nb = np.zeros((n, -(-k // 64)), dtype=np.uint64)
-        np.bitwise_or.at(
-            nb,
-            (indices[lo:hi], bit // 64),
-            np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64)),
-        )
+        np.bitwise_or.at(nb.reshape(-1), indices[lo:hi] * nb.shape[1] + bit // 64,
+                         np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64)))
         active = np.zeros(n, dtype=bool)
         active[indices[lo:hi]] = True
         sel = np.flatnonzero(active[u] & active[v])
-        shared = np.bitwise_count(nb[u[sel]] & nb[v[sel]])
-        common[sel] += shared.sum(axis=1, dtype=np.int64)
+        shared = nb.take(u[sel], axis=0)
+        shared &= nb.take(v[sel], axis=0)
+        counts = np.bitwise_count(shared)
+        # a row holds at most 64 * 8 = 512 bits, so uint16 sums exactly;
+        # adding whole columns beats numpy's sum along a short axis
+        common[sel] += sum(counts.T[1:], counts[:, 0].astype(np.uint16))
+    for a in (u, v, common):
+        a.flags.writeable = False
     return u, v, common
 
 
@@ -177,15 +194,16 @@ def clustering(g: VisibilityGraph) -> ClusteringReport:
     c_max / c_min are taken over nodes of degree >= 2 only.
 
     Triangles are counted exactly, as integers, per edge by
-    :func:`_common_neighbors`.  A triangle at i is seen from each of its
-    two edges at i.
+    :func:`_common_neighbors`, once per graph: :func:`_dominators` reads
+    the same count.  A triangle at i is seen from each of its two edges
+    at i.
     """
     deg = g.degrees()
     eligible = deg >= 2
     if not eligible.any():
         raise ZeroDegreeVariance("no node has degree >= 2")
     n = g.n
-    u, v, common = _common_neighbors(g)
+    u, v, common = _triangles(g)
     tri2 = np.zeros(n, dtype=np.int64)  # twice the triangle count per node
     np.add.at(tri2, u, common)
     np.add.at(tri2, v, common)
@@ -205,13 +223,15 @@ def _dominators(g: VisibilityGraph) -> np.ndarray:
 
     Neighbor w dominates u when N[u] ⊆ N[w] for the closed neighborhoods
     N[.], which holds exactly when the edge (u, w) has deg(u) - 1 common
-    neighbors.  Of two nodes with equal closed neighborhoods only the
-    smaller index dominates, so following dominators from any node grows
-    its closed neighborhood or lowers its index and ends at an undominated
-    node.  The graph of a series prefix is an induced subgraph, so a
-    dominator below the prefix length still dominates in the prefix.
+    neighbors, read off the triangle count that :func:`clustering` shares
+    (:func:`_triangles`).  Of two nodes with equal closed neighborhoods
+    only the smaller index dominates, so following dominators from any
+    node grows its closed neighborhood or lowers its index and ends at an
+    undominated node.  The graph of a series prefix is an induced
+    subgraph, so a dominator below the prefix length still dominates in
+    the prefix.
     """
-    u, v, common = _common_neighbors(g)
+    u, v, common = _triangles(g)
     deg = g.degrees()
     dom = np.full(g.n, g.n, dtype=np.int64)
     u_wins = common == deg[v] - 1  # N[v] ⊆ N[u], and u < v wins a tie
@@ -273,7 +293,7 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
 
 def _prefix_pair_sums(g: VisibilityGraph):
     """A function of k that gives the ordered-pair distance sum of
-    ``g.prefix(k)``.
+    ``g.interval(0, k)``.
 
     A natural visibility graph holds the path 0-1-...-n-1, so an interior
     node t is a cut vertex exactly when no edge (a, b) has a < t < b: a
@@ -295,9 +315,11 @@ def _prefix_pair_sums(g: VisibilityGraph):
     block is one :func:`_block_sums` call.  A graph without every edge
     (i, i + 1) is one block, which keeps the kernel's errors.
 
-    Block [a, b] of prefix k is the subgraph induced by a..b, whatever k
-    is, so its four integers are cached by (a, b) across calls: along a
-    small-world curve only a prefix's new tail blocks run the kernel.
+    The edges of prefix k are those with v < k, a leading slice once the
+    edges are ordered by v.  Block [a, b] of prefix k is the subgraph
+    induced by a..b, whatever k is, so its four integers are cached by
+    (a, b) across calls: along a small-world curve only a prefix's new
+    tail blocks run the kernel.
 
     The dominators of ``g`` serve every block, shifted by its start,
     because no dominator below k lies outside its node's block.  A
@@ -310,14 +332,16 @@ def _prefix_pair_sums(g: VisibilityGraph):
     the block's size once shifted, so it reads as none.
     """
     dom = _dominators(g)
-    u, v = g.edge_array().T
+    u, v, _ = _triangles(g)
+    by_v = np.argsort(v, kind="stable")  # the edges of prefix k lead
+    u, v = u[by_v], v[by_v]
     blocks = {}
 
     def pair_sum(k: int) -> int:
         if k < 2:
             raise InvalidParam("average path length needs at least 2 nodes")
-        inside = v < k
-        lo, hi = u[inside], v[inside]
+        inside = int(np.searchsorted(v, k))
+        lo, hi = u[:inside], v[:inside]
         ends = [0, k - 1]
         if np.count_nonzero(hi - lo == 1) == k - 1:  # holds the path 0-1-...-k-1
             # over[t] counts the edges (a, b) with a < t < b
@@ -327,7 +351,7 @@ def _prefix_pair_sums(g: VisibilityGraph):
         for a, b in zip(ends, ends[1:]):
             if (a, b) not in blocks:
                 blocks[a, b] = (2, 1, 1, 1) if b == a + 1 else _block_sums(
-                    _induced(g, a, b), dom[a : b + 1] - a)
+                    g.interval(a, b + 1), dom[a : b + 1] - a)
             w, da, db, dab = blocks[a, b]
             total += w + 2 * ((size - 1) * da + (b - a) * dist)
             dist += db + (size - 1) * dab
@@ -335,16 +359,6 @@ def _prefix_pair_sums(g: VisibilityGraph):
         return total
 
     return pair_sum
-
-
-def _induced(g: VisibilityGraph, a: int, b: int) -> VisibilityGraph:
-    """Subgraph induced by nodes ``a..b``, relabeled from 0."""
-    lo = g.indptr[a]
-    head = g.indices[lo : g.indptr[b + 1]]
-    keep = (head >= a) & (head <= b)
-    indptr = np.concatenate(([0], np.cumsum(keep)))[g.indptr[a : b + 2] - lo]
-    return VisibilityGraph(n=b - a + 1, indptr=indptr, indices=head[keep] - a,
-                           m=int(indptr[-1]) // 2)
 
 
 def _block_sums(g: VisibilityGraph, dom: np.ndarray) -> tuple[int, int, int, int]:
@@ -490,7 +504,7 @@ def small_world_curve(g: VisibilityGraph,
                       sizes: list[int] | None = None) -> SmallWorldCurve:
     """L(N) on growing prefixes of the series behind ``g``, fit against ln N.
 
-    The graph of the first k samples is ``g.prefix(k)``, an induced
+    The graph of the first k samples is ``g.interval(0, k)``, an induced
     subgraph, so the dominators of ``g`` serve every prefix, and the whole
     graph too where the last size is below ``g.n``.  Each length is one
     fold of :func:`_prefix_pair_sums` over blocks shared by the whole

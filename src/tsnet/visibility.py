@@ -86,16 +86,18 @@ class VisibilityGraph:
         keep = self.indices > rows
         return np.column_stack([rows[keep], self.indices[keep]])
 
-    def prefix(self, k: int) -> "VisibilityGraph":
-        """Subgraph induced by nodes ``0..k-1``: the graph of the series'
-        first ``k`` samples, as visibility of i < j depends only on y[i..j]."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"prefix length {k} outside [1, {self.n}]")
-        head = self.indices[: self.indptr[k]]
-        keep = head < k  # a leading run of each ascending row
-        indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr[: k + 1]]
-        m = int(indptr[-1]) // 2
-        return VisibilityGraph(n=k, indptr=indptr, indices=head[keep], m=m)
+    def interval(self, a: int, b: int) -> "VisibilityGraph":
+        """Subgraph induced by nodes ``a..b-1``, relabeled from 0: the graph
+        of those samples alone, as visibility of i < j depends only on
+        y[i..j]."""
+        if not 0 <= a < b <= self.n:
+            raise ValueError(f"interval [{a}, {b}) is empty or outside [0, {self.n})")
+        lo = self.indptr[a]
+        head = self.indices[lo : self.indptr[b]]
+        keep = (head >= a) & (head < b)
+        indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr[a : b + 1] - lo]
+        return VisibilityGraph(n=b - a, indptr=indptr, indices=head[keep] - a,
+                               m=int(indptr[-1]) // 2)
 
 
 def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> VisibilityGraph:

@@ -374,7 +374,7 @@ class TestBitParallelBfs:
     def test_walk_prefixes(self):
         g = _walk_graph(160, np.random.default_rng(5))
         for k in default_prefix_sizes(g.n):
-            _assert_exact(g.prefix(k))
+            _assert_exact(g.interval(0, k))
 
     @pytest.mark.parametrize("chunk", [1, 2, 8, 64])
     def test_chunk_width_does_not_change_value(self, chunk, monkeypatch):
@@ -407,7 +407,9 @@ class TestBitParallelBfs:
         for words in (1, 8):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(netstats, "_pass_words", lambda n, m: words)
-                _assert_exact(g)
+                # a new graph object, so that its triangle count, kept once
+                # per graph, is also made at this width
+                _assert_exact(g.interval(0, g.n))
 
     @pytest.mark.parametrize("isolated", [0, 40, 79])
     def test_isolated_node_is_disconnected(self, isolated):
@@ -471,7 +473,7 @@ class TestDominators:
             g = build_fast(_series(kinds[i % 5], int(rng.integers(64, 240)), rng))
             dom = netstats._dominators(g)
             for k in default_prefix_sizes(g.n):
-                closed = closed_neighborhoods(g.prefix(k))
+                closed = closed_neighborhoods(g.interval(0, k))
                 for u in np.flatnonzero(dom[:k] < k):
                     w = int(dom[u])
                     assert w in closed[u] and closed[u] <= closed[w]
@@ -540,7 +542,7 @@ class TestBlockFold:
         assert all_pairs_average_path(g) == full
         curve = small_world_curve(g, sizes=sizes)
         assert curve.lengths.tolist() == [
-            floyd_warshall_average_path(g.prefix(k)) for k in sizes
+            floyd_warshall_average_path(g.interval(0, k)) for k in sizes
         ]
         assert curve.average_path_full == full
         self.assert_dominators_inside_blocks(g, sizes)
@@ -551,7 +553,7 @@ class TestBlockFold:
         # the prefix, and a cut vertex of the prefix has none there
         dom = netstats._dominators(g)
         for k in sizes:
-            cuts = cut_vertices(g.prefix(k))
+            cuts = cut_vertices(g.interval(0, k))
             assert np.all(dom[cuts] >= k)
             ends = [0, *cuts, k - 1]
             for a, b in zip(ends, ends[1:]):
@@ -571,7 +573,7 @@ class TestBlockFold:
         curve = small_world_curve(g)
         assert len(cut_vertices(g)) > 0
         for k, length in zip(curve.sizes.tolist(), curve.lengths.tolist()):
-            assert length == netstats._block_sums(g.prefix(k), dom[:k])[0] / (k * (k - 1))
+            assert length == netstats._block_sums(g.interval(0, k), dom[:k])[0] / (k * (k - 1))
 
     def test_graph_without_a_path_edge_is_one_block(self, kernel_sizes):
         # a path with (20, 21) swapped for (19, 21): split at the nodes no
@@ -701,7 +703,7 @@ class TestSmallWorld:
         # every prefix reads by the full graph's dominators
         g = build_fast(_series(kind, 150, rng))
         curve = small_world_curve(g)
-        expected = [floyd_warshall_average_path(g.prefix(int(k))) for k in curve.sizes]
+        expected = [floyd_warshall_average_path(g.interval(0, int(k))) for k in curve.sizes]
         assert curve.lengths.tolist() == expected
 
     @pytest.mark.parametrize("sizes", [[16, 64], [16, 150]], ids=["short", "full"])

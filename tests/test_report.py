@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import tsnet.netstats
 from tsnet import GeneratorSpec, InvalidParam, generate
 from tsnet.report import build_report, canonical_json, run_stages
+from tsnet.visibility import build_fast
 
 
 def test_canonical_json_maps_non_finite_to_null():
@@ -21,9 +24,9 @@ SHORT_CURVE_REPORT_SHA256 = "b63785aea590578751d57575dae33d615082596df3c6c447dab
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The node counts of the graphs that ``_block_sums`` and
-    ``_dominators`` see, by kernel name."""
-    calls = {"_block_sums": [], "_dominators": []}
+    """The node counts of the graphs that ``_block_sums``, ``_dominators``
+    and the triangle count ``_common_neighbors`` see, by kernel name."""
+    calls = {"_block_sums": [], "_dominators": [], "_common_neighbors": []}
 
     def count(name):
         original = getattr(tsnet.netstats, name)
@@ -36,6 +39,7 @@ def kernel_calls(monkeypatch):
 
     count("_block_sums")
     count("_dominators")
+    count("_common_neighbors")
     return calls
 
 
@@ -69,7 +73,9 @@ class TestAveragePathStage:
             # the whole graph adds [192, 489], [489, 879], [879, 995], [995, 1022]
             + [298, 391, 117, 28]
         )
-        expected = {"_block_sums": blocks, "_dominators": [1024]}
+        # clustering and the dominators share one triangle count
+        expected = {"_block_sums": blocks, "_dominators": [1024],
+                    "_common_neighbors": [1024]}
         assert kernel_calls == expected
         text = canonical_json(build_report(stages))
         assert kernel_calls == expected  # rendering computes nothing
@@ -80,7 +86,8 @@ class TestAveragePathStage:
         # the whole graph reuses [0, 4] and [4, 58] of prefix 64, and runs
         # [58, 192] and the blocks after it
         assert kernel_calls == {
-            "_block_sums": [5, 55, 6, 135, 298, 391, 117, 28], "_dominators": [1024]
+            "_block_sums": [5, 55, 6, 135, 298, 391, 117, 28], "_dominators": [1024],
+            "_common_neighbors": [1024],
         }
         curve = stages["curve"]
         assert curve.average_path_full == float(curve.lengths[-1])
@@ -92,9 +99,36 @@ class TestAveragePathStage:
         stages = run_stages(_fgn_1024(), small_world=True, prefix_sizes=[])
         assert isinstance(stages["curve"], InvalidParam)
         assert "average_path" not in stages
-        assert kernel_calls == {"_block_sums": [], "_dominators": []}
+        assert kernel_calls == {"_block_sums": [], "_dominators": [],
+                                "_common_neighbors": [1024]}
 
     def test_no_stage_without_small_world(self, kernel_calls):
         stages = run_stages(_fgn_1024())
         assert stages["curve"] is None and "average_path" not in stages
-        assert kernel_calls == {"_block_sums": [], "_dominators": []}
+        # the one triangle count is clustering's
+        assert kernel_calls == {"_block_sums": [], "_dominators": [],
+                                "_common_neighbors": [1024]}
+
+
+class TestSharedTriangleCount:
+    """Clustering and the dominators read one triangle count per graph,
+    which nothing can write and which goes when the graph does."""
+
+    def test_arrays_are_read_only(self):
+        g = build_fast(_fgn_1024())
+        shared = tsnet.netstats._triangles(g)
+        assert tsnet.netstats._triangles(g) is shared
+        for a in shared:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_memo_drops_the_graph(self):
+        g = build_fast(_fgn_1024())
+        memo = tsnet.netstats._triangle_memo
+        tsnet.netstats.clustering(g)
+        gc.collect()  # graphs of earlier tests may wait in reference cycles
+        assert g in memo
+        size, alive = len(memo), weakref.ref(g)
+        del g
+        gc.collect()
+        assert alive() is None and len(memo) == size - 1

@@ -212,15 +212,23 @@ class TestFastBuilderForms:
         y = SWEEP_SERIES[name]
         g = build_fast(y)
         for k in range(2, y.size + 1):
-            assert_same_csr(g.prefix(k), build_fast(y[:k]))
+            assert_same_csr(g.interval(0, k), build_fast(y[:k]))
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_SERIES))
+    def test_interval_is_graph_of_its_samples(self, name):
+        y = SWEEP_SERIES[name]
+        g = build_fast(y)
+        for a in range(0, y.size - 1, max(1, y.size // 7)):
+            for b in range(a + 2, y.size + 1, max(1, y.size // 5)):
+                assert_same_csr(g.interval(a, b), build_fast(y[a:b]))
 
     def test_prefix_bounds(self):
         g = build_fast(PI_DIGITS)
-        assert g.prefix(1).m == 0
-        assert_same_csr(g.prefix(g.n), g)
-        for k in (0, g.n + 1):
+        assert g.interval(0, 1).m == 0 and g.interval(g.n - 1, g.n).m == 0
+        assert_same_csr(g.interval(0, g.n), g)
+        for a, b in ((0, 0), (0, g.n + 1), (-1, 2), (3, 3), (4, 2)):
             with pytest.raises(ValueError):
-                g.prefix(k)
+                g.interval(a, b)
 
 
 def _nearest_higher_series():
