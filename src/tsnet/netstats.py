@@ -21,7 +21,7 @@ from .errors import (
     InvalidParam,
     ZeroDegreeVariance,
 )
-from .visibility import VisibilityGraph
+from .visibility import VisibilityGraph, _interval_csr
 
 # Slope magnitudes below this are reported as flat (complete-graph regime,
 # where L is constant and the log fit carries no information).
@@ -292,8 +292,7 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
 
 
 def _prefix_pair_sums(g: VisibilityGraph):
-    """A function of k that gives the ordered-pair distance sum of
-    ``g.interval(0, k)``.
+    """A function of k: the ordered-pair distance sum of nodes 0..k-1 of ``g``.
 
     A natural visibility graph holds the path 0-1-...-n-1, so an interior
     node t is a cut vertex exactly when no edge (a, b) has a < t < b: a
@@ -311,9 +310,9 @@ def _prefix_pair_sums(g: VisibilityGraph):
         W' = W + W_B + 2 ((s - 1) D_B(a) + (n_B - 1) D)
         D' = D_B(b) + (s - 1) d_B(a, b) + D,    s' = s + n_B - 1,
 
-    all in Python integers.  A 2-node block is one edge, and any other
-    block is one :func:`_block_sums` call.  A graph without every edge
-    (i, i + 1) is one block, which keeps the kernel's errors.
+    all in Python integers.  A 2-node block is one edge, any other one
+    :func:`_block_sums` call on its slice of ``g``'s CSR arrays.  A graph
+    without every edge (i, i + 1) is one block, keeping the kernel's errors.
 
     The edges of prefix k are those with v < k, a leading slice once the
     edges are ordered by v.  Block [a, b] of prefix k is the subgraph
@@ -351,7 +350,7 @@ def _prefix_pair_sums(g: VisibilityGraph):
         for a, b in zip(ends, ends[1:]):
             if (a, b) not in blocks:
                 blocks[a, b] = (2, 1, 1, 1) if b == a + 1 else _block_sums(
-                    g.interval(a, b + 1), dom[a : b + 1] - a)
+                    *_interval_csr(g, a, b + 1), dom[a : b + 1] - a)
             w, da, db, dab = blocks[a, b]
             total += w + 2 * ((size - 1) * da + (b - a) * dist)
             dist += db + (size - 1) * dab
@@ -361,12 +360,13 @@ def _prefix_pair_sums(g: VisibilityGraph):
     return pair_sum
 
 
-def _block_sums(g: VisibilityGraph, dom: np.ndarray) -> tuple[int, int, int, int]:
-    """``(W, D(0), D(n - 1), d(0, n - 1))`` of ``g``: its ordered-pair
-    distance sum, the distance sums from its first and last node, and the
-    distance between them, given ``dom``, the :func:`_dominators` of ``g``
-    or of a graph that ``g`` is a block of: node u is read from level 2 on
-    only if ``dom[u] >= g.n``.
+def _block_sums(indptr: np.ndarray, indices: np.ndarray,
+                dom: np.ndarray) -> tuple[int, int, int, int]:
+    """``(W, D(0), D(n - 1), d(0, n - 1))`` of the n-node graph with CSR
+    arrays ``indptr`` and ``indices``: its ordered-pair distance sum, the
+    distance sums from its first and last node, and the distance between
+    them, given ``dom``, the :func:`_dominators` of the graph or of one it
+    is a block of: node u is read from level 2 on only if ``dom[u] >= n``.
 
     Bit-parallel multi-source breadth-first search (Akiba, Iwata &
     Yoshida 2013; Then et al. 2014): each pass carries up to 512 sources
@@ -403,13 +403,11 @@ def _block_sums(g: VisibilityGraph, dom: np.ndarray) -> tuple[int, int, int, int
     pair is reached.  Source ``s`` still owns its own bit, so the sum
     does not depend on the labels.
     """
-    n = g.n
-    indptr, indices = g.indptr, g.indices
-    deg = g.degrees()
+    n, deg = indptr.size - 1, np.diff(indptr)
     # Also required by the kernel: a node without neighbors has no chunk.
     if np.any(deg == 0):
         raise DisconnectedGraph("graph has an isolated node")
-    width = 64 * _pass_words(n, g.m)
+    width = 64 * _pass_words(n, indices.size // 2)
     read = dom[indices] >= n
     reads = np.diff(np.cumsum(read)[indptr[1:] - 1], prepend=0)
     read[indptr[:-1][reads == 0]] = True  # reading any neighbor is exact
@@ -504,11 +502,11 @@ def small_world_curve(g: VisibilityGraph,
                       sizes: list[int] | None = None) -> SmallWorldCurve:
     """L(N) on growing prefixes of the series behind ``g``, fit against ln N.
 
-    The graph of the first k samples is ``g.interval(0, k)``, an induced
-    subgraph, so the dominators of ``g`` serve every prefix, and the whole
-    graph too where the last size is below ``g.n``.  Each length is one
-    fold of :func:`_prefix_pair_sums` over blocks shared by the whole
-    curve, so a block runs the kernel once, in the first prefix that has it.
+    The graph of the first k samples is the subgraph of ``g`` induced by
+    nodes 0..k-1, so the dominators of ``g`` serve every prefix, and the
+    whole graph too where the last size is below ``g.n``.  Each length is
+    one fold of :func:`_prefix_pair_sums` over CSR slices of ``g`` shared by
+    the whole curve: no graph is built, and a block runs the kernel once.
     """
     n = g.n
     if sizes is None:

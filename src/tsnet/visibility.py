@@ -10,14 +10,15 @@ always mutually visible, so the graph is connected.
 Two builders:
 
 * :func:`build_naive` evaluates the criterion pair by pair via running
-  extreme slopes anchored at each left endpoint.  O(N^2); the reference.
+  extreme slopes anchored at each pair's higher endpoint.  O(N^2); the
+  reference.
 * :func:`build_fast` sweeps out from each sample to its nearest higher
   samples, and each edge lies in the sweep of its higher endpoint.  The
   nearest higher samples come from binary lifting over a sparse table of
   range maxima, O(N log N) array work.  The sweep's cost is its total
   length: about 19N slopes on fGn, 183N on a random walk and O(N^2) on
-  monotone or concave stretches.  The builders round different slopes, so
-  they can disagree within rounding of a chord.
+  monotone or concave stretches.  Both builders round the same slopes, so
+  they agree, and both can misjudge a sample within rounding of a chord.
 
 Both builders hand their edges to one CSR step, which packs each directed
 edge ``src -> dst`` as the int64 key ``src * N + dst``, sorts the keys in
@@ -41,8 +42,8 @@ _BATCH = 1 << 16
 class VisibilityGraph:
     """Undirected simple graph in compressed sparse adjacency form.
 
-    ``indices[indptr[i]:indptr[i+1]]`` is the ascending neighbor list of
-    node ``i``.  ``m`` counts undirected edges, so ``len(indices) == 2*m``.
+    ``indices[indptr[i]:indptr[i+1]]`` is node ``i``'s ascending neighbor
+    list, and each of the ``m`` edges is in both its rows: ``len(indices) == 2*m``.
     """
 
     n: int
@@ -68,10 +69,14 @@ class VisibilityGraph:
             rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
             if np.any(indices == rows):
                 raise ValueError("self-loop in adjacency")
+            mirror = indices * self.n  # keys dst * n + src, built and sorted in place
+            np.add(mirror, rows, out=mirror).sort()
             rows *= self.n  # keys src * n + dst rise iff every row ascends
             rows += indices
             if np.any(rows[1:] <= rows[:-1]):
                 raise ValueError("neighbor lists must be strictly ascending")
+            if not np.array_equal(mirror, rows):  # some entry lacks its reverse
+                raise ValueError("adjacency is not symmetric")
         indptr.flags.writeable = False
         indices.flags.writeable = False
         object.__setattr__(self, "indptr", indptr)
@@ -87,17 +92,19 @@ class VisibilityGraph:
         return np.column_stack([rows[keep], self.indices[keep]])
 
     def interval(self, a: int, b: int) -> "VisibilityGraph":
-        """Subgraph induced by nodes ``a..b-1``, relabeled from 0: the graph
-        of those samples alone, as visibility of i < j depends only on
-        y[i..j]."""
+        """Subgraph induced by nodes ``a..b-1``, relabeled from 0: the graph of
+        those samples alone, as visibility of i < j depends only on y[i..j]."""
         if not 0 <= a < b <= self.n:
             raise ValueError(f"interval [{a}, {b}) is empty or outside [0, {self.n})")
-        lo = self.indptr[a]
-        head = self.indices[lo : self.indptr[b]]
-        keep = (head >= a) & (head < b)
-        indptr = np.concatenate(([0], np.cumsum(keep)))[self.indptr[a : b + 1] - lo]
-        return VisibilityGraph(n=b - a, indptr=indptr, indices=head[keep] - a,
-                               m=int(indptr[-1]) // 2)
+        indptr, indices = _interval_csr(self, a, b)
+        return VisibilityGraph(n=b - a, indptr=indptr, indices=indices, m=indices.size // 2)
+
+
+def _interval_csr(g: VisibilityGraph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of ``g.interval(a, b)``, with no bounds check and no graph."""
+    head = g.indices[g.indptr[a] : g.indptr[b]]
+    keep = (head >= a) & (head < b)
+    return np.r_[0, np.cumsum(keep)][g.indptr[a : b + 1] - g.indptr[a]], head[keep] - a
 
 
 def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> VisibilityGraph:
@@ -140,10 +147,12 @@ def _nearest_higher(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_naive(ts) -> VisibilityGraph:
     """Direct per-pair evaluation of the visibility criterion.
 
-    For each left endpoint ``i`` the slopes to all later samples are
-    compared against their running maximum: ``j`` is visible from ``i``
-    iff its slope strictly exceeds the slope to every sample in between.
-    O(N^2); intended as the oracle for :func:`build_fast` up to N ~ 2000.
+    Each pair is judged once, from its higher endpoint (the left one on
+    ties), with :func:`build_fast`'s slopes: from each sample ``p`` the
+    slopes ``(y[x] - y[p]) / |x - p|`` out to both ends of the series are
+    compared against their running maximum, and ``x`` is visible iff its
+    slope strictly exceeds the slope to every sample in between.  O(N^2);
+    intended as the oracle for :func:`build_fast` up to N ~ 2000.
     """
     y = _series_values(ts)
     n = y.size
@@ -151,16 +160,14 @@ def build_naive(ts) -> VisibilityGraph:
         raise SeriesTooShort(f"need at least 2 observations, got {n}")
     u_parts = []
     v_parts = []
-    for i in range(n - 1):
-        s = (y[i + 1 :] - y[i]) / np.arange(1, n - i, dtype=np.float64)
-        vis = np.empty(s.size, dtype=bool)
-        vis[0] = True  # immediate neighbor: nothing in between
-        if s.size > 1:
-            run_max = np.maximum.accumulate(s)
-            vis[1:] = s[1:] > run_max[:-1]
-        js = i + 1 + np.flatnonzero(vis)
-        u_parts.append(np.full(js.size, i, dtype=np.int64))
-        v_parts.append(js)
+    for p in range(n):
+        for step, side, lower in ((1, y[p + 1 :], np.less_equal), (-1, y[:p][::-1], np.less)):
+            s = (side - y[p]) / np.arange(1, side.size + 1, dtype=np.float64)
+            # the immediate neighbor has nothing in between
+            d = np.r_[0, 1 + np.flatnonzero(s[1:] > np.maximum.accumulate(s)[:-1])][: s.size]
+            xs = p + step * (1 + d[lower(side[d], y[p])])  # pairs whose higher end is p
+            u_parts.append(np.full(xs.size, p, dtype=np.int64))
+            v_parts.append(xs)
     return _graph_from_edges(n, np.concatenate(u_parts), np.concatenate(v_parts))
 
 
@@ -173,7 +180,7 @@ def build_fast(ts) -> VisibilityGraph:
     the higher one, so each edge lies in a side of its higher endpoint (the
     left one on ties) and in no other side.  x is linked iff its slope
     ``(y[x] - y[p]) / |x - p|`` strictly beats that of every sample in
-    between: :func:`build_naive`'s criterion, anchored at the higher end.
+    between: :func:`build_naive`'s criterion, slopes and anchor.
     """
     y = _series_values(ts)
     n = y.size

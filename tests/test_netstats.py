@@ -24,6 +24,7 @@ from tsnet import (
     small_world_curve,
     small_world_verdict,
 )
+from tsnet.visibility import VisibilityGraph
 
 from oracles import (
     assortativity_direct,
@@ -310,7 +311,8 @@ def _assert_exact(g):
     dist = floyd_warshall_distances(g)
     assert all_pairs_average_path(g) == dist.sum() / (n * (n - 1))
     want = (dist.sum(), dist[0].sum(), dist[-1].sum(), dist[0, -1])
-    assert netstats._block_sums(g, netstats._dominators(g)) == tuple(map(int, want))
+    dom = netstats._dominators(g)
+    assert netstats._block_sums(g.indptr, g.indices, dom) == tuple(map(int, want))
 
 
 class TestBitParallelBfs:
@@ -495,9 +497,9 @@ class TestDominators:
         counts = []
         kernel = netstats._block_sums
 
-        def counted(h, d):
-            counts.append((np.count_nonzero(d[h.indices] >= h.n), 2 * h.m))
-            return kernel(h, d)
+        def counted(indptr, indices, d):
+            counts.append((np.count_nonzero(d[indices] >= indptr.size - 1), indices.size))
+            return kernel(indptr, indices, d)
 
         monkeypatch.setattr(netstats, "_block_sums", counted)
         all_pairs_average_path(g)
@@ -511,9 +513,9 @@ def kernel_sizes(monkeypatch):
     sizes = []
     kernel = netstats._block_sums
 
-    def counted(g, dom):
-        sizes.append(g.n)
-        return kernel(g, dom)
+    def counted(indptr, indices, dom):
+        sizes.append(indptr.size - 1)
+        return kernel(indptr, indices, dom)
 
     monkeypatch.setattr(netstats, "_block_sums", counted)
     return sizes
@@ -573,7 +575,8 @@ class TestBlockFold:
         curve = small_world_curve(g)
         assert len(cut_vertices(g)) > 0
         for k, length in zip(curve.sizes.tolist(), curve.lengths.tolist()):
-            assert length == netstats._block_sums(g.interval(0, k), dom[:k])[0] / (k * (k - 1))
+            h = g.interval(0, k)
+            assert length == netstats._block_sums(h.indptr, h.indices, dom[:k])[0] / (k * (k - 1))
 
     def test_graph_without_a_path_edge_is_one_block(self, kernel_sizes):
         # a path with (20, 21) swapped for (19, 21): split at the nodes no
@@ -592,6 +595,24 @@ class TestBlockFold:
         curve = small_world_curve(g, sizes=[10, 16])
         assert kernel_sizes == [5, 6, 7, 5]
         assert curve.average_path_full == floyd_warshall_average_path(g)
+
+    @pytest.mark.parametrize("kind", ["fgn", "walk1"])
+    def test_curve_builds_no_graph(self, kind, rng, kernel_sizes, monkeypatch):
+        # each block's CSR arrays are sliced out of g, so no graph is built
+        # or validated again inside the fold
+        g = build_fast(_series(kind, 1024, rng))
+        built = []
+        validate = VisibilityGraph.__post_init__
+
+        def counted(h):
+            built.append(h.n)
+            validate(h)
+
+        monkeypatch.setattr(VisibilityGraph, "__post_init__", counted)
+        small_world_curve(g)
+        all_pairs_average_path(g)
+        assert built == []
+        assert len(kernel_sizes) > 1  # the fold ran the kernel on several blocks
 
     @pytest.mark.parametrize("y", [
         pytest.param(lambda: np.sqrt(np.arange(1.0, 4097.0)), id="sqrt"),

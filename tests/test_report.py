@@ -24,22 +24,23 @@ SHORT_CURVE_REPORT_SHA256 = "b63785aea590578751d57575dae33d615082596df3c6c447dab
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The node counts of the graphs that ``_block_sums``, ``_dominators``
-    and the triangle count ``_common_neighbors`` see, by kernel name."""
+    """The node counts of the graphs that ``_block_sums`` (given CSR arrays),
+    ``_dominators`` and the triangle count ``_common_neighbors`` see, by
+    kernel name."""
     calls = {"_block_sums": [], "_dominators": [], "_common_neighbors": []}
 
-    def count(name):
+    def count(name, nodes):
         original = getattr(tsnet.netstats, name)
 
-        def counted(g, *args):
-            calls[name].append(g.n)
-            return original(g, *args)
+        def counted(first, *args):
+            calls[name].append(nodes(first))
+            return original(first, *args)
 
         monkeypatch.setattr(tsnet.netstats, name, counted)
 
-    count("_block_sums")
-    count("_dominators")
-    count("_common_neighbors")
+    count("_block_sums", lambda indptr: indptr.size - 1)
+    count("_dominators", lambda g: g.n)
+    count("_common_neighbors", lambda g: g.n)
     return calls
 
 

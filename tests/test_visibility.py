@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from tsnet import (
@@ -108,6 +108,10 @@ class TestFastAgainstNaive:
             max_size=120,
         )
     )
+    # within rounding of a chord: the builders once anchored these at
+    # different ends and disagreed
+    @example([-1.5, -1.0, -1.0, 2.220446049250313e-16])
+    @example([-3.7, 3.7, 11.100000000000001])
     def test_edge_sets_equal(self, values):
         y = np.array(values)
         fast = build_fast(y)
@@ -156,8 +160,8 @@ RAMPS = {"ascending": np.arange(240.0), "descending": -np.arange(240.0)}
 
 
 def _fragile_series():
-    # Walks rounded to 1 decimal and the x3.7 ties, where build_naive's
-    # rounding disagrees with build_fast's, and a rounded walk capped at
+    # Walks rounded to 1 decimal and the x3.7 ties, where rounding decides
+    # edges that exact arithmetic would not, and a rounded walk capped at
     # its median, whose 203 samples at the maximum block one another.
     rng = np.random.default_rng(11)
     walks = [np.round(np.cumsum(rng.normal(size=600)), 1) for _ in range(20)]
@@ -410,6 +414,45 @@ class TestVisibilityGraphValidation:
                 indices=np.array([1, 0], dtype=np.int64),
                 m=2,
             )
+
+    def test_rejects_directed_edge(self):
+        # 0 -> 1 -> 2 with no reverse entries: all-pairs raised a bare
+        # IndexError on it before the check
+        with pytest.raises(ValueError, match="not symmetric"):
+            VisibilityGraph(
+                n=3,
+                indptr=np.array([0, 1, 2, 2], dtype=np.int64),
+                indices=np.array([1, 2], dtype=np.int64),
+                m=1,
+            )
+
+    def test_rejects_unmatched_entries_with_right_count(self):
+        # row 1 is empty, so 0 -> 1 and 0 -> 2 have no reverse, yet the
+        # entries still count 2m: clustering raised IndexError on it before
+        # the check, and assortativity returned -1.0
+        with pytest.raises(ValueError, match="not symmetric"):
+            VisibilityGraph(
+                n=4,
+                indptr=np.array([0, 2, 2, 3, 4], dtype=np.int64),
+                indices=np.array([1, 2, 3, 2], dtype=np.int64),
+                m=2,
+            )
+
+    def test_validates_once_per_graph(self, monkeypatch):
+        # a graph built by hand, by a builder or by interval is checked
+        # once, in its own construction
+        checked = []
+        validate = VisibilityGraph.__post_init__
+
+        def counted(g):
+            checked.append(g.n)
+            validate(g)
+
+        monkeypatch.setattr(VisibilityGraph, "__post_init__", counted)
+        g = build_fast(PI_DIGITS)
+        g.interval(3, 9)
+        VisibilityGraph(n=2, indptr=np.array([0, 1, 2]), indices=np.array([1, 0]), m=1)
+        assert checked == [g.n, 6, 2]
 
     def test_arrays_read_only(self):
         g = build_fast(PI_DIGITS)
