@@ -21,7 +21,7 @@ from .errors import (
     InvalidParam,
     ZeroDegreeVariance,
 )
-from .visibility import VisibilityGraph, _interval_csr
+from .visibility import VisibilityGraph
 
 # Slope magnitudes below this are reported as flat (complete-graph regime,
 # where L is constant and the log fit carries no information).
@@ -310,9 +310,10 @@ def _prefix_pair_sums(g: VisibilityGraph):
         W' = W + W_B + 2 ((s - 1) D_B(a) + (n_B - 1) D)
         D' = D_B(b) + (s - 1) d_B(a, b) + D,    s' = s + n_B - 1,
 
-    all in Python integers.  A 2-node block is one edge, any other one
-    :func:`_block_sums` call on its slice of ``g``'s CSR arrays.  A graph
-    without every edge (i, i + 1) is one block, keeping the kernel's errors.
+    all in Python integers.  A 2-node block between cut vertices is the
+    edge (a, a + 1), any other one a :func:`_block_sums` call on its
+    :func:`_interval_csr` slice.  A prefix without every edge (i, i + 1)
+    is one block for the kernel, keeping its errors even on 2 nodes.
 
     The edges of prefix k are those with v < k, a leading slice once the
     edges are ordered by v.  Block [a, b] of prefix k is the subgraph
@@ -341,15 +342,15 @@ def _prefix_pair_sums(g: VisibilityGraph):
             raise InvalidParam("average path length needs at least 2 nodes")
         inside = int(np.searchsorted(v, k))
         lo, hi = u[:inside], v[:inside]
-        ends = [0, k - 1]
-        if np.count_nonzero(hi - lo == 1) == k - 1:  # holds the path 0-1-...-k-1
+        ends, path = [0, k - 1], np.count_nonzero(hi - lo == 1) == k - 1
+        if path:  # holds the path 0-1-...-k-1
             # over[t] counts the edges (a, b) with a < t < b
             over = np.cumsum(np.bincount(lo + 1, minlength=k) - np.bincount(hi, minlength=k))
             ends = np.flatnonzero(over == 0).tolist()
         total, size, dist = 0, 1, 0  # W, s and D of node 0 alone
         for a, b in zip(ends, ends[1:]):
             if (a, b) not in blocks:
-                blocks[a, b] = (2, 1, 1, 1) if b == a + 1 else _block_sums(
+                blocks[a, b] = (2, 1, 1, 1) if path and b == a + 1 else _block_sums(
                     *_interval_csr(g, a, b + 1), dom[a : b + 1] - a)
             w, da, db, dab = blocks[a, b]
             total += w + 2 * ((size - 1) * da + (b - a) * dist)
@@ -358,6 +359,14 @@ def _prefix_pair_sums(g: VisibilityGraph):
         return total
 
     return pair_sum
+
+
+def _interval_csr(g: VisibilityGraph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of nodes a..b-1 of ``g``, relabeled from 0: on
+    a visibility graph, that of ``build_fast(y[a:b])`` (no bounds check)."""
+    head = g.indices[g.indptr[a] : g.indptr[b]]
+    keep = (head >= a) & (head < b)
+    return np.r_[0, np.cumsum(keep)][g.indptr[a : b + 1] - g.indptr[a]], head[keep] - a
 
 
 def _block_sums(indptr: np.ndarray, indices: np.ndarray,
@@ -505,8 +514,8 @@ def small_world_curve(g: VisibilityGraph,
     The graph of the first k samples is the subgraph of ``g`` induced by
     nodes 0..k-1, so the dominators of ``g`` serve every prefix, and the
     whole graph too where the last size is below ``g.n``.  Each length is
-    one fold of :func:`_prefix_pair_sums` over CSR slices of ``g`` shared by
-    the whole curve: no graph is built, and a block runs the kernel once.
+    one fold of :func:`_prefix_pair_sums` over :func:`_interval_csr` slices
+    shared by the whole curve: no graph is built, a block runs the kernel once.
     """
     n = g.n
     if sizes is None:

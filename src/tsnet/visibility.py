@@ -27,7 +27,7 @@ place and turns them into the neighbor lists with an in-place remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,35 +43,36 @@ class VisibilityGraph:
     """Undirected simple graph in compressed sparse adjacency form.
 
     ``indices[indptr[i]:indptr[i+1]]`` is node ``i``'s ascending neighbor
-    list, and each of the ``m`` edges is in both its rows: ``len(indices) == 2*m``.
+    list, and each edge is in both its rows: the ``n`` nodes and ``m``
+    edges are ``len(indptr) - 1`` and ``len(indices) // 2``.
     """
 
-    n: int
     indptr: np.ndarray
     indices: np.ndarray
-    m: int
+    n: int = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(self.indices, dtype=np.int64)
+        n = indptr.size - 1
         if (
-            indptr.shape != (self.n + 1,)
+            indptr.ndim != 1
+            or n < 1
             or indptr[0] != 0
             or indptr[-1] != indices.size
             or np.any(indptr[1:] < indptr[:-1])
         ):
             raise ValueError("malformed CSR index pointer")
-        if indices.size != 2 * self.m:
-            raise ValueError(f"{indices.size} directed entries for m={self.m} edges")
         if indices.size:
-            if indices.min() < 0 or indices.max() >= self.n:
+            if indices.min() < 0 or indices.max() >= n:
                 raise ValueError("neighbor index out of range")
-            rows = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(indptr))
+            rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
             if np.any(indices == rows):
                 raise ValueError("self-loop in adjacency")
-            mirror = indices * self.n  # keys dst * n + src, built and sorted in place
+            mirror = indices * n  # keys dst * n + src, built and sorted in place
             np.add(mirror, rows, out=mirror).sort()
-            rows *= self.n  # keys src * n + dst rise iff every row ascends
+            rows *= n  # keys src * n + dst rise iff every row ascends
             rows += indices
             if np.any(rows[1:] <= rows[:-1]):
                 raise ValueError("neighbor lists must be strictly ascending")
@@ -81,6 +82,8 @@ class VisibilityGraph:
         indices.flags.writeable = False
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", indices.size // 2)
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -90,21 +93,6 @@ class VisibilityGraph:
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         keep = self.indices > rows
         return np.column_stack([rows[keep], self.indices[keep]])
-
-    def interval(self, a: int, b: int) -> "VisibilityGraph":
-        """Subgraph induced by nodes ``a..b-1``, relabeled from 0: the graph of
-        those samples alone, as visibility of i < j depends only on y[i..j]."""
-        if not 0 <= a < b <= self.n:
-            raise ValueError(f"interval [{a}, {b}) is empty or outside [0, {self.n})")
-        indptr, indices = _interval_csr(self, a, b)
-        return VisibilityGraph(n=b - a, indptr=indptr, indices=indices, m=indices.size // 2)
-
-
-def _interval_csr(g: VisibilityGraph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, indices)`` of ``g.interval(a, b)``, with no bounds check and no graph."""
-    head = g.indices[g.indptr[a] : g.indptr[b]]
-    keep = (head >= a) & (head < b)
-    return np.r_[0, np.cumsum(keep)][g.indptr[a : b + 1] - g.indptr[a]], head[keep] - a
 
 
 def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> VisibilityGraph:
@@ -117,7 +105,7 @@ def _graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> VisibilityGraph:
     key[m:] += u
     key.sort()  # keys are unique, so any sort kind agrees
     indptr = np.searchsorted(key, np.arange(n + 1, dtype=np.int64) * n)
-    return VisibilityGraph(n=n, indptr=indptr, indices=np.remainder(key, n, out=key), m=m)
+    return VisibilityGraph(indptr, np.remainder(key, n, out=key))
 
 
 def _nearest_higher(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,8 @@ Floyd-Warshall, triangles by triple enumeration, dominators by set
 inclusion of closed neighborhoods, assortativity by the
 direct correlation sums, DFA by per-window polyfit, and the expected
 natural-visibility mean degree of iid uniform noise by exact integration.
-``neighbors`` and ``edge_set`` read a graph's CSR for the tests.
+``neighbors`` and ``edge_set`` read a graph's CSR for the tests, and
+``induced`` slices a graph through its edge list.
 """
 
 from __future__ import annotations
@@ -74,12 +75,13 @@ def graph_from_pairs(n: int, pairs) -> VisibilityGraph:
     for neighbors in adj:
         indices.extend(sorted(neighbors))
         indptr.append(len(indices))
-    return VisibilityGraph(
-        n=n,
-        indptr=np.array(indptr, dtype=np.int64),
-        indices=np.array(indices, dtype=np.int64),
-        m=len(set(tuple(sorted(p)) for p in pairs)),
-    )
+    return VisibilityGraph(np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
+
+
+def induced(g: VisibilityGraph, a: int, b: int) -> VisibilityGraph:
+    """Subgraph induced by nodes ``a..b-1``, relabeled from 0, rebuilt from
+    its edge list by :func:`graph_from_pairs`."""
+    return graph_from_pairs(b - a, [(i - a, j - a) for i, j in edge_set(g) if a <= i and j < b])
 
 
 def floyd_warshall_distances(g: VisibilityGraph) -> np.ndarray:

@@ -35,6 +35,7 @@ from oracles import (
     floyd_warshall_average_path,
     floyd_warshall_distances,
     graph_from_pairs,
+    induced,
     neighbors,
 )
 
@@ -197,6 +198,17 @@ class TestPaths:
             small_world_curve(graph_from_pairs(3, []))
         with pytest.raises(InvalidParam):
             all_pairs_average_path(graph_from_pairs(1, []))
+
+    def test_two_nodes_without_an_edge(self):
+        # without the path, the graph is one block for the kernel, even on 2 nodes
+        with pytest.raises(DisconnectedGraph, match="isolated node"):
+            all_pairs_average_path(graph_from_pairs(2, []))
+
+    def test_two_node_prefix_without_an_edge(self):
+        # nodes 0 and 1 meet only through node 2, outside prefix 2
+        g = graph_from_pairs(3, [(0, 2), (1, 2)])
+        with pytest.raises(DisconnectedGraph, match="isolated node"):
+            small_world_curve(g, sizes=[2, 3])
 
     def test_stale_thread_env_ignored(self, rng, monkeypatch):
         # the search reads no settings from the environment, so a stale
@@ -374,9 +386,9 @@ class TestBitParallelBfs:
         _assert_exact(g)
 
     def test_walk_prefixes(self):
-        g = _walk_graph(160, np.random.default_rng(5))
-        for k in default_prefix_sizes(g.n):
-            _assert_exact(g.interval(0, k))
+        y = np.cumsum(np.random.default_rng(5).normal(size=160))
+        for k in default_prefix_sizes(y.size):
+            _assert_exact(build_fast(y[:k]))
 
     @pytest.mark.parametrize("chunk", [1, 2, 8, 64])
     def test_chunk_width_does_not_change_value(self, chunk, monkeypatch):
@@ -411,7 +423,7 @@ class TestBitParallelBfs:
                 mp.setattr(netstats, "_pass_words", lambda n, m: words)
                 # a new graph object, so that its triangle count, kept once
                 # per graph, is also made at this width
-                _assert_exact(g.interval(0, g.n))
+                _assert_exact(VisibilityGraph(g.indptr, g.indices))
 
     @pytest.mark.parametrize("isolated", [0, 40, 79])
     def test_isolated_node_is_disconnected(self, isolated):
@@ -472,10 +484,10 @@ class TestDominators:
         rng = np.random.default_rng(17)
         kinds = ["normal", "ramp", "plateaus", "ties", "walk1"]
         for i in range(50):
-            g = build_fast(_series(kinds[i % 5], int(rng.integers(64, 240)), rng))
-            dom = netstats._dominators(g)
-            for k in default_prefix_sizes(g.n):
-                closed = closed_neighborhoods(g.interval(0, k))
+            y = _series(kinds[i % 5], int(rng.integers(64, 240)), rng)
+            dom = netstats._dominators(build_fast(y))
+            for k in default_prefix_sizes(y.size):
+                closed = closed_neighborhoods(build_fast(y[:k]))
                 for u in np.flatnonzero(dom[:k] < k):
                     w = int(dom[u])
                     assert w in closed[u] and closed[u] <= closed[w]
@@ -544,7 +556,7 @@ class TestBlockFold:
         assert all_pairs_average_path(g) == full
         curve = small_world_curve(g, sizes=sizes)
         assert curve.lengths.tolist() == [
-            floyd_warshall_average_path(g.interval(0, k)) for k in sizes
+            floyd_warshall_average_path(induced(g, 0, k)) for k in sizes
         ]
         assert curve.average_path_full == full
         self.assert_dominators_inside_blocks(g, sizes)
@@ -555,7 +567,7 @@ class TestBlockFold:
         # the prefix, and a cut vertex of the prefix has none there
         dom = netstats._dominators(g)
         for k in sizes:
-            cuts = cut_vertices(g.interval(0, k))
+            cuts = cut_vertices(induced(g, 0, k))
             assert np.all(dom[cuts] >= k)
             ends = [0, *cuts, k - 1]
             for a, b in zip(ends, ends[1:]):
@@ -570,12 +582,13 @@ class TestBlockFold:
 
     @pytest.mark.parametrize("kind", ["fgn", "walk1", "ties", "sqrt10"])
     def test_curve_equals_kernel_on_each_prefix(self, kind, rng):
-        g = build_fast(_series(kind, 700, rng))
+        y = _series(kind, 700, rng)
+        g = build_fast(y)
         dom = netstats._dominators(g)
         curve = small_world_curve(g)
         assert len(cut_vertices(g)) > 0
         for k, length in zip(curve.sizes.tolist(), curve.lengths.tolist()):
-            h = g.interval(0, k)
+            h = build_fast(y[:k])
             assert length == netstats._block_sums(h.indptr, h.indices, dom[:k])[0] / (k * (k - 1))
 
     def test_graph_without_a_path_edge_is_one_block(self, kernel_sizes):
@@ -605,8 +618,8 @@ class TestBlockFold:
         validate = VisibilityGraph.__post_init__
 
         def counted(h):
+            validate(h)  # which sets n
             built.append(h.n)
-            validate(h)
 
         monkeypatch.setattr(VisibilityGraph, "__post_init__", counted)
         small_world_curve(g)
@@ -722,9 +735,9 @@ class TestSmallWorld:
     @pytest.mark.parametrize("kind", ["normal", "ties", "walk1", "plateaus"])
     def test_lengths_match_floyd_warshall(self, kind, rng):
         # every prefix reads by the full graph's dominators
-        g = build_fast(_series(kind, 150, rng))
-        curve = small_world_curve(g)
-        expected = [floyd_warshall_average_path(g.interval(0, int(k))) for k in curve.sizes]
+        y = _series(kind, 150, rng)
+        curve = small_world_curve(build_fast(y))
+        expected = [floyd_warshall_average_path(build_fast(y[:k])) for k in curve.sizes]
         assert curve.lengths.tolist() == expected
 
     @pytest.mark.parametrize("sizes", [[16, 64], [16, 150]], ids=["short", "full"])

@@ -16,13 +16,14 @@ from tsnet import (
     build_naive,
     generate,
 )
-from tsnet import visibility
+from tsnet import netstats, visibility
 from tsnet.visibility import VisibilityGraph
 
 from oracles import (
     brute_visibility_edges,
     edge_set,
     iid_uniform_visibility_probability,
+    induced,
     nearest_higher_stack,
     neighbors,
 )
@@ -216,23 +217,29 @@ class TestFastBuilderForms:
         y = SWEEP_SERIES[name]
         g = build_fast(y)
         for k in range(2, y.size + 1):
-            assert_same_csr(g.interval(0, k), build_fast(y[:k]))
+            assert_same_csr(induced(g, 0, k), build_fast(y[:k]))
 
     @pytest.mark.parametrize("name", sorted(SWEEP_SERIES))
     def test_interval_is_graph_of_its_samples(self, name):
+        # the all-pairs fold's CSR slice of nodes a..b-1
         y = SWEEP_SERIES[name]
         g = build_fast(y)
         for a in range(0, y.size - 1, max(1, y.size // 7)):
             for b in range(a + 2, y.size + 1, max(1, y.size // 5)):
-                assert_same_csr(g.interval(a, b), build_fast(y[a:b]))
+                h = VisibilityGraph(*netstats._interval_csr(g, a, b))
+                assert_same_csr(h, build_fast(y[a:b]))
 
     def test_prefix_bounds(self):
+        # a one-node slice has no entry and the whole slice is the graph;
+        # an empty slice has a one-entry indptr, which the constructor rejects
         g = build_fast(PI_DIGITS)
-        assert g.interval(0, 1).m == 0 and g.interval(g.n - 1, g.n).m == 0
-        assert_same_csr(g.interval(0, g.n), g)
-        for a, b in ((0, 0), (0, g.n + 1), (-1, 2), (3, 3), (4, 2)):
-            with pytest.raises(ValueError):
-                g.interval(a, b)
+        for a in (0, g.n - 1):
+            indptr, indices = netstats._interval_csr(g, a, a + 1)
+            assert indptr.tolist() == [0, 0] and indices.size == 0
+        assert_same_csr(VisibilityGraph(*netstats._interval_csr(g, 0, g.n)), g)
+        for a in (0, 3, g.n):
+            with pytest.raises(ValueError, match="malformed"):
+                VisibilityGraph(*netstats._interval_csr(g, a, a))
 
 
 def _nearest_higher_series():
@@ -339,120 +346,83 @@ class TestGraphInvariants:
 
 
 class TestVisibilityGraphValidation:
+    @staticmethod
+    def graph(indptr, indices):
+        return VisibilityGraph(np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64))
+
+    def test_sizes_read_off_the_arrays(self):
+        g = self.graph([0, 2, 3, 4, 4], [1, 2, 0, 0])
+        assert (g.n, g.m) == (4, 2)
+        assert type(g.n) is int and type(g.m) is int
+        for size in ("n", "m"):
+            with pytest.raises(TypeError):
+                VisibilityGraph(g.indptr, g.indices, **{size: 2})
+
     def test_rejects_malformed_indptr(self):
         with pytest.raises(ValueError):
-            VisibilityGraph(
-                n=2,
-                indptr=np.array([0, 1], dtype=np.int64),
-                indices=np.array([1, 0], dtype=np.int64),
-                m=1,
-            )
+            self.graph([0, 1], [1, 0])
+
+    @pytest.mark.parametrize("indptr", [[0], [[0], [0]]], ids=["one-entry", "2-d"])
+    def test_rejects_short_or_2d_indptr(self, indptr):
+        # n = 0 reached degree_distribution as a bare numpy ValueError
+        with pytest.raises(ValueError, match="malformed"):
+            self.graph(indptr, [])
 
     @pytest.mark.parametrize("indices", [[2, 0], [1, -1]], ids=["high", "negative"])
     def test_rejects_neighbor_out_of_range(self, indices):
         with pytest.raises(ValueError, match="out of range"):
-            VisibilityGraph(
-                n=2,
-                indptr=np.array([0, 1, 2], dtype=np.int64),
-                indices=np.array(indices, dtype=np.int64),
-                m=1,
-            )
+            self.graph([0, 1, 2], indices)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            VisibilityGraph(
-                n=2,
-                indptr=np.array([0, 1, 2], dtype=np.int64),
-                indices=np.array([0, 1], dtype=np.int64),
-                m=1,
-            )
+            self.graph([0, 1, 2], [0, 1])
 
     def test_rejects_unsorted_neighbors(self):
         # edges (0,1), (0,2) but node 0's row written backwards
         with pytest.raises(ValueError, match="ascending"):
-            VisibilityGraph(
-                n=3,
-                indptr=np.array([0, 2, 3, 4], dtype=np.int64),
-                indices=np.array([2, 1, 0, 0], dtype=np.int64),
-                m=2,
-            )
+            self.graph([0, 2, 3, 4], [2, 1, 0, 0])
 
     def test_rejects_unsorted_row_after_leading_empty_rows(self):
         # the only row boundary sits at entry 0, which has no predecessor
         with pytest.raises(ValueError, match="ascending"):
-            VisibilityGraph(
-                n=3,
-                indptr=np.array([0, 0, 0, 2], dtype=np.int64),
-                indices=np.array([1, 0], dtype=np.int64),
-                m=1,
-            )
+            self.graph([0, 0, 0, 2], [1, 0])
 
     @pytest.mark.parametrize("row", [[1, 2], [0, 1]], ids=["first", "last"])
     def test_rejects_self_loop_at_row_end(self, row):
         with pytest.raises(ValueError, match="self-loop"):
-            VisibilityGraph(
-                n=3,
-                indptr=np.array([0, 1, 3, 4], dtype=np.int64),
-                indices=np.array([1, *row, 1], dtype=np.int64),
-                m=2,
-            )
+            self.graph([0, 1, 3, 4], [1, *row, 1])
 
     def test_rejects_duplicate_neighbor(self):
         with pytest.raises(ValueError, match="ascending"):
-            VisibilityGraph(
-                n=3,
-                indptr=np.array([0, 2, 3, 4], dtype=np.int64),
-                indices=np.array([1, 1, 0, 0], dtype=np.int64),
-                m=2,
-            )
-
-    def test_rejects_wrong_edge_count(self):
-        with pytest.raises(ValueError):
-            VisibilityGraph(
-                n=2,
-                indptr=np.array([0, 1, 2], dtype=np.int64),
-                indices=np.array([1, 0], dtype=np.int64),
-                m=2,
-            )
+            self.graph([0, 2, 3, 4], [1, 1, 0, 0])
 
     def test_rejects_directed_edge(self):
         # 0 -> 1 -> 2 with no reverse entries: all-pairs raised a bare
         # IndexError on it before the check
         with pytest.raises(ValueError, match="not symmetric"):
-            VisibilityGraph(
-                n=3,
-                indptr=np.array([0, 1, 2, 2], dtype=np.int64),
-                indices=np.array([1, 2], dtype=np.int64),
-                m=1,
-            )
+            self.graph([0, 1, 2, 2], [1, 2])
 
     def test_rejects_unmatched_entries_with_right_count(self):
         # row 1 is empty, so 0 -> 1 and 0 -> 2 have no reverse, yet the
-        # entries still count 2m: clustering raised IndexError on it before
-        # the check, and assortativity returned -1.0
+        # entries are even in number: clustering raised IndexError on it
+        # before the check, and assortativity returned -1.0
         with pytest.raises(ValueError, match="not symmetric"):
-            VisibilityGraph(
-                n=4,
-                indptr=np.array([0, 2, 2, 3, 4], dtype=np.int64),
-                indices=np.array([1, 2, 3, 2], dtype=np.int64),
-                m=2,
-            )
+            self.graph([0, 2, 2, 3, 4], [1, 2, 3, 2])
 
     def test_validates_once_per_graph(self, monkeypatch):
-        # a graph built by hand, by a builder or by interval is checked
-        # once, in its own construction
+        # a graph built by hand or by a builder is checked once, in its
+        # own construction
         checked = []
         validate = VisibilityGraph.__post_init__
 
         def counted(g):
+            validate(g)  # which sets n
             checked.append(g.n)
-            validate(g)
 
         monkeypatch.setattr(VisibilityGraph, "__post_init__", counted)
         g = build_fast(PI_DIGITS)
-        g.interval(3, 9)
-        VisibilityGraph(n=2, indptr=np.array([0, 1, 2]), indices=np.array([1, 0]), m=1)
-        assert checked == [g.n, 6, 2]
+        self.graph([0, 1, 2], [1, 0])
+        assert checked == [g.n, 2]
 
     def test_arrays_read_only(self):
         g = build_fast(PI_DIGITS)
