@@ -45,8 +45,10 @@ class GeneratorSpec:
             raise InvalidParam(
                 f"unknown kind {self.kind!r}; choose from {', '.join(KINDS)}"
             )
-        if self.n < 2:
-            raise InvalidParam(f"n must be >= 2, got {self.n}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise InvalidParam(f"n must be an integer >= 2, got {self.n!r}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidParam(f"seed must be a non-negative integer, got {self.seed!r}")
         extra = set(self.params) - set(_ALLOWED_PARAMS[self.kind])
         if extra:
             raise InvalidParam(f"{self.kind!r} does not take {sorted(extra)}")

@@ -118,6 +118,8 @@ def fit_powerlaw_tail(
     With ``dist.counts`` the default is ceil(2m / n) in integers, which the
     float sum behind :meth:`~DegreeDistribution.mean_degree` can overshoot.
     """
+    if k_min is not None and k_min % 1:
+        raise InvalidParam(f"k_min must be an integer, got {k_min!r}")
     if k_min is None and dist.counts is not None:
         k_min = -(-int(dist.support @ dist.counts) // int(dist.counts.sum()))
     k_lo = int(k_min) if k_min is not None else math.ceil(dist.mean_degree())
@@ -285,14 +287,16 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
     """Exact mean shortest-path length over all unordered node pairs.
 
     The ordered-pair distance sum, exact in Python integers, over
-    ``n * (n - 1)``: :func:`_prefix_pair_sums` folds it over the chain of
+    ``n * (n - 1)``: :func:`_pair_sums` folds it over the chain of
     blocks between cut vertices, and :func:`_block_sums` runs each block.
     """
-    return _prefix_pair_sums(g)(g.n) / (g.n * (g.n - 1))
+    if g.n < 2:
+        raise InvalidParam("average path length needs at least 2 nodes")
+    return _pair_sums(g, [g.n])[0] / (g.n * (g.n - 1))
 
 
-def _prefix_pair_sums(g: VisibilityGraph):
-    """A function of k: the ordered-pair distance sum of nodes 0..k-1 of ``g``.
+def _pair_sums(g: VisibilityGraph, sizes: list[int]) -> list[int]:
+    """Ordered-pair distance sums of nodes 0..k-1 of ``g``, one per k in ``sizes``.
 
     A natural visibility graph holds the path 0-1-...-n-1, so an interior
     node t is a cut vertex exactly when no edge (a, b) has a < t < b: a
@@ -312,14 +316,14 @@ def _prefix_pair_sums(g: VisibilityGraph):
 
     all in Python integers.  A 2-node block between cut vertices is the
     edge (a, a + 1), any other one a :func:`_block_sums` call on its
-    :func:`_interval_csr` slice.  A prefix without every edge (i, i + 1)
-    is one block for the kernel, keeping its errors even on 2 nodes.
+    :func:`_interval_csr` slice.  The path is tested once, since prefixes
+    inherit it; without it each prefix is one block, with the kernel's errors.
 
-    The edges of prefix k are those with v < k, a leading slice once the
-    edges are ordered by v.  Block [a, b] of prefix k is the subgraph
-    induced by a..b, whatever k is, so its four integers are cached by
-    (a, b) across calls: along a small-world curve only a prefix's new
-    tail blocks run the kernel.
+    The edges (u, v), u < v, of the CSR's lower triangle come ordered by
+    v, so those of prefix k are a leading slice.  Block [a, b] of prefix k
+    is the subgraph induced by a..b, whatever k is, so its four integers
+    are kept by (a, b) for the call: along a small-world curve only a
+    prefix's new tail blocks run the kernel.
 
     The dominators of ``g`` serve every block, shifted by its start,
     because no dominator below k lies outside its node's block.  A
@@ -332,20 +336,18 @@ def _prefix_pair_sums(g: VisibilityGraph):
     the block's size once shifted, so it reads as none.
     """
     dom = _dominators(g)
-    u, v, _ = _triangles(g)
-    by_v = np.argsort(v, kind="stable")  # the edges of prefix k lead
-    u, v = u[by_v], v[by_v]
-    blocks = {}
-
-    def pair_sum(k: int) -> int:
-        if k < 2:
-            raise InvalidParam("average path length needs at least 2 nodes")
-        inside = int(np.searchsorted(v, k))
-        lo, hi = u[:inside], v[:inside]
-        ends, path = [0, k - 1], np.count_nonzero(hi - lo == 1) == k - 1
-        if path:  # holds the path 0-1-...-k-1
+    rows = np.repeat(np.arange(g.n), g.degrees())
+    low = g.indices < rows
+    u, v = g.indices[low], rows[low]
+    path = np.count_nonzero(v - u == 1) == g.n - 1  # holds the path 0-1-...-n-1
+    blocks, sums = {}, []
+    for k in sizes:
+        ends = [0, k - 1]
+        if path:
+            inside = int(np.searchsorted(v, k))
             # over[t] counts the edges (a, b) with a < t < b
-            over = np.cumsum(np.bincount(lo + 1, minlength=k) - np.bincount(hi, minlength=k))
+            over = np.cumsum(np.bincount(u[:inside] + 1, minlength=k)
+                             - np.bincount(v[:inside], minlength=k))
             ends = np.flatnonzero(over == 0).tolist()
         total, size, dist = 0, 1, 0  # W, s and D of node 0 alone
         for a, b in zip(ends, ends[1:]):
@@ -356,9 +358,8 @@ def _prefix_pair_sums(g: VisibilityGraph):
             total += w + 2 * ((size - 1) * da + (b - a) * dist)
             dist += db + (size - 1) * dab
             size += b - a
-        return total
-
-    return pair_sum
+        sums.append(total)
+    return sums
 
 
 def _interval_csr(g: VisibilityGraph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -513,9 +514,9 @@ def small_world_curve(g: VisibilityGraph,
 
     The graph of the first k samples is the subgraph of ``g`` induced by
     nodes 0..k-1, so the dominators of ``g`` serve every prefix, and the
-    whole graph too where the last size is below ``g.n``.  Each length is
-    one fold of :func:`_prefix_pair_sums` over :func:`_interval_csr` slices
-    shared by the whole curve: no graph is built, a block runs the kernel once.
+    whole graph too where the last size is below ``g.n``.  Every length is
+    one fold of a single :func:`_pair_sums` call over :func:`_interval_csr`
+    slices: no graph is built, a block runs the kernel once.
     """
     n = g.n
     if sizes is None:
@@ -528,9 +529,9 @@ def small_world_curve(g: VisibilityGraph,
             raise InvalidParam(f"prefix sizes must lie in [2, {n}]")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise InvalidParam("prefix sizes must be strictly increasing")
-    pair_sum = _prefix_pair_sums(g)
-    lengths = np.array([pair_sum(k) / (k * (k - 1)) for k in sizes], dtype=np.float64)
-    full = float(lengths[-1]) if sizes[-1] == n else pair_sum(n) / (n * (n - 1))
+    sums = _pair_sums(g, sizes if sizes[-1] == n else [*sizes, n])
+    lengths = np.array([w / (k * (k - 1)) for w, k in zip(sums, sizes)], dtype=np.float64)
+    full = sums[-1] / (n * (n - 1))
     size_arr = np.asarray(sizes, dtype=np.int64)
     slope = intercept = r2 = flat = None
     if size_arr.size >= 2:

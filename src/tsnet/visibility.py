@@ -58,12 +58,13 @@ class VisibilityGraph:
         n = indptr.size - 1
         if (
             indptr.ndim != 1
+            or indices.ndim != 1
             or n < 1
             or indptr[0] != 0
             or indptr[-1] != indices.size
             or np.any(indptr[1:] < indptr[:-1])
         ):
-            raise ValueError("malformed CSR index pointer")
+            raise ValueError("malformed CSR arrays")
         if indices.size:
             if indices.min() < 0 or indices.max() >= n:
                 raise ValueError("neighbor index out of range")

@@ -59,6 +59,7 @@ class TestGen:
         (["--kind", "sawtooth", "--n", "8", "--period", "2.5"], "period"),
         (["--kind", "periodic", "--n", "8", "--period", "-1"], "period"),
         (["--kind", "fgn", "--n", "8"], "hurst"),
+        (["--kind", "iid_gaussian", "--n", "5", "--seed", "-1"], "seed"),
     ])
     def test_bad_param_is_runtime_error(self, args, name, capsys):
         # main returns, so no exception escapes as a traceback

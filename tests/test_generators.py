@@ -14,6 +14,26 @@ class TestSpecValidation:
         with pytest.raises(InvalidParam):
             GeneratorSpec(kind="constant", n=1)
 
+    @pytest.mark.parametrize("kind, n", [
+        ("linear", 2.5),  # generated 3 samples, labelled linear-2.5-s0
+        ("constant", 5.0),
+        ("fgn", 5.0),
+        ("iid_gaussian", "5"),
+    ])
+    def test_n_must_be_integer(self, kind, n):
+        with pytest.raises(InvalidParam, match="n must be an integer"):
+            GeneratorSpec(kind=kind, n=n, params={"hurst": 0.8} if kind == "fgn" else {})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(InvalidParam, match="seed"):
+            GeneratorSpec(kind="iid_gaussian", n=5, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        spec = GeneratorSpec(kind="iid_gaussian", n=np.int64(5), seed=np.int64(3))
+        assert generate(spec).values.tolist() == generate(
+            GeneratorSpec(kind="iid_gaussian", n=5, seed=3)).values.tolist()
+
     def test_unknown_param_for_kind(self):
         with pytest.raises(InvalidParam):
             GeneratorSpec(kind="linear", n=10, params={"hurst": 0.5})

@@ -183,6 +183,13 @@ class TestTailFit:
         with pytest.raises(InvalidParam):
             fit_powerlaw_tail(degree_distribution(k4), k_min=5)
 
+    def test_non_integral_k_min(self, rng):
+        # int() would start the fit at degree 2 and report k_range (2, ...)
+        dist = degree_distribution(build_fast(rng.normal(size=2000)))
+        with pytest.raises(InvalidParam, match="k_min"):
+            fit_powerlaw_tail(dist, k_min=2.5)
+        assert fit_powerlaw_tail(dist, k_min=3.0).k_range == (3, dist.k_max)
+
 
 class TestPaths:
     def test_disconnected_detected(self):
@@ -597,6 +604,14 @@ class TestBlockFold:
         g = graph_from_pairs(40, [(i, i + 1) for i in range(39) if i != 20] + [(19, 21)])
         assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
         assert kernel_sizes == [40]
+        # the path is tested on g, so each prefix is one block too, even
+        # those below the gap, which hold their own path
+        sizes = [10, 21, 40]
+        curve = small_world_curve(g, sizes=sizes)
+        assert curve.lengths.tolist() == [
+            floyd_warshall_average_path(induced(g, 0, k)) for k in sizes
+        ]
+        assert kernel_sizes == [40, *sizes]
 
     def test_blocks_run_once_per_curve(self, kernel_sizes):
         # blocks [0, 4] and [4, 9] of prefix 10 serve prefix 16, which

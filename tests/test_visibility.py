@@ -368,6 +368,12 @@ class TestVisibilityGraphValidation:
         with pytest.raises(ValueError, match="malformed"):
             self.graph(indptr, [])
 
+    @pytest.mark.parametrize("indices", [[[1], [0]], [[1, 0]]], ids=["column", "row"])
+    def test_rejects_2d_indices(self, indices):
+        # read as a self-loop, or as a bare numpy broadcast error
+        with pytest.raises(ValueError, match="malformed"):
+            self.graph([0, 1, 2], indices)
+
     @pytest.mark.parametrize("indices", [[2, 0], [1, -1]], ids=["high", "negative"])
     def test_rejects_neighbor_out_of_range(self, indices):
         with pytest.raises(ValueError, match="out of range"):
