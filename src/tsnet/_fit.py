@@ -1,4 +1,4 @@
-"""Shared ordinary-least-squares line fit and integer log grids."""
+"""Shared ordinary-least-squares line fit, integer log grids and integer checks."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit
+from .errors import DegenerateFit, InvalidParam
 
 
 @dataclass(frozen=True)
@@ -49,3 +49,12 @@ def log_spaced_ints(lo: int, hi: int, count: int) -> np.ndarray:
     """Deduplicated increasing integers, roughly log-spaced on [lo, hi], lo <= hi."""
     grid = np.exp(np.linspace(np.log(lo), np.log(hi), num=count))
     return np.unique(np.clip(np.round(grid).astype(np.int64), lo, hi))
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int, or :class:`InvalidParam` unless it is an integer
+    or an integral float (``is_integer`` is False on nan and infinities)."""
+    if not (isinstance(value, (int, np.integer))
+            or isinstance(value, (float, np.floating)) and value.is_integer()):
+        raise InvalidParam(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._fit import linear_fit, log_spaced_ints
+from ._fit import as_int, linear_fit, log_spaced_ints
 from .errors import DegenerateFit, InvalidParam, ScaleOutOfRange, SeriesTooShort
 from .series import _centre, _series_values
 
@@ -47,12 +47,13 @@ def dfa_fluctuation(ts, scales=None, order: int = 2) -> DfaResult:
     """Compute F(n) over the given scales (default grid if omitted)."""
     y = _series_values(ts)
     n = y.size
+    order = as_int(order, "detrending order")
     if order < 0:
         raise InvalidParam(f"detrending order must be >= 0, got {order}")
     if scales is None:
         scale_arr = default_scales(n, order=order)
     else:
-        scale_arr = np.asarray([int(s) for s in scales], dtype=np.int64)
+        scale_arr = np.asarray([as_int(s, "scale") for s in scales], dtype=np.int64)
         if scale_arr.size == 0:
             raise InvalidParam("empty scale list")
         for s in scale_arr:

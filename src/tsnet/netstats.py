@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fit import linear_fit, log_spaced_ints
+from ._fit import as_int, linear_fit, log_spaced_ints
 from .errors import (
     DegenerateFit,
     DisconnectedGraph,
@@ -37,17 +37,21 @@ _CHUNK = 8
 
 @dataclass(frozen=True, eq=False)
 class DegreeDistribution:
-    """Empirical degree pdf on its support (degrees with nonzero count), and
-    the node count per degree when built by :func:`degree_distribution`."""
+    """Node count per degree on the support (the degrees with a nonzero count);
+    the pdf and the mean degree 2m / n, correctly rounded, derive from it."""
 
     support: np.ndarray
-    pdf: np.ndarray
-    counts: np.ndarray | None = None
+    counts: np.ndarray
 
     def __post_init__(self):
-        sizes = {a.size for a in (self.support, self.pdf, self.counts) if a is not None}
-        if len(sizes) != 1 or self.support.size == 0:
-            raise ValueError("support, pdf and counts must be non-empty and aligned")
+        if (self.support.size == 0 or self.counts.shape != self.support.shape
+                or not {self.support.dtype.kind, self.counts.dtype.kind} <= {"i", "u"}
+                or self.counts.min() < 1):
+            raise ValueError("need non-empty aligned integer arrays, counts positive")
+
+    @property
+    def pdf(self) -> np.ndarray:
+        return self.counts / self.counts.sum()
 
     @property
     def k_min(self) -> int:
@@ -58,7 +62,7 @@ class DegreeDistribution:
         return int(self.support[-1])
 
     def mean_degree(self) -> float:
-        return float(np.sum(self.support * self.pdf))
+        return int(self.support @ self.counts) / int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,7 @@ class SmallWorldCurve:
 def degree_distribution(g: VisibilityGraph) -> DegreeDistribution:
     counts = np.bincount(g.degrees())
     support = np.flatnonzero(counts)
-    pdf = counts[support] / float(g.n)
-    return DegreeDistribution(support=support.astype(np.int64), pdf=pdf,
-                              counts=counts[support])
+    return DegreeDistribution(support=support.astype(np.int64), counts=counts[support])
 
 
 def fit_powerlaw_tail(
@@ -115,14 +117,11 @@ def fit_powerlaw_tail(
     ``k_min`` defaults to ceil(mean degree), where visibility-graph degree
     pdfs typically enter their power-law regime; the range always runs to
     the maximum degree.  Requires at least three distinct degrees in range.
-    With ``dist.counts`` the default is ceil(2m / n) in integers, which the
-    float sum behind :meth:`~DegreeDistribution.mean_degree` can overshoot.
+    The default is exact: a non-integer 2m / n lies at least 1 / n from an
+    integer, more than half an ulp for n < 2**26, so the correctly rounded
+    :meth:`~DegreeDistribution.mean_degree` never rounds onto one.
     """
-    if k_min is not None and k_min % 1:
-        raise InvalidParam(f"k_min must be an integer, got {k_min!r}")
-    if k_min is None and dist.counts is not None:
-        k_min = -(-int(dist.support @ dist.counts) // int(dist.counts.sum()))
-    k_lo = int(k_min) if k_min is not None else math.ceil(dist.mean_degree())
+    k_lo = math.ceil(dist.mean_degree()) if k_min is None else as_int(k_min, "k_min")
     k_hi = dist.k_max
     if k_lo < 1 or k_hi < k_lo:
         raise InvalidParam(f"bad tail range [{k_lo}, {k_hi}]")
@@ -522,7 +521,7 @@ def small_world_curve(g: VisibilityGraph,
     if sizes is None:
         sizes = default_prefix_sizes(n)
     else:
-        sizes = [int(s) for s in sizes]
+        sizes = [as_int(s, "prefix size") for s in sizes]
         if not sizes:
             raise InvalidParam("no prefix sizes given")
         if any(s < 2 or s > n for s in sizes):

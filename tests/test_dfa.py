@@ -67,6 +67,12 @@ class TestFluctuation:
         b = dfa_fluctuation(y2, scales=[24], order=1).fluctuations[0]
         assert a != b
 
+    def test_integral_floats_are_ints(self):
+        res = dfa_fluctuation(fixed_walk(), scales=[8.0, np.int64(16)], order=2.0)
+        assert type(res.order) is int and res.scales.dtype == np.int64
+        ref = dfa_fluctuation(fixed_walk(), scales=[8, 16], order=2)
+        assert np.array_equal(res.fluctuations, ref.fluctuations)
+
     def test_scale_bounds(self):
         y = fixed_walk(200)
         with pytest.raises(ScaleOutOfRange):
@@ -80,6 +86,14 @@ class TestFluctuation:
             dfa_fluctuation(fixed_walk(), scales=[8], order=-1)
         with pytest.raises(InvalidParam):
             dfa_fluctuation(fixed_walk(), scales=[])
+        # int() alone would truncate 10.7 to 10 and raise a bare ValueError
+        # on nan, and np.vander a TypeError on a float order
+        for scales in ([10.7, 20.2], [10, np.nan], [10, np.float64(np.inf)]):
+            with pytest.raises(InvalidParam, match="scale"):
+                dfa_fluctuation(fixed_walk(), scales=scales)
+        for order in (1.5, np.nan, np.float64(np.inf)):
+            with pytest.raises(InvalidParam, match="order"):
+                dfa_fluctuation(fixed_walk(), scales=[8], order=order)
         with pytest.raises(SeriesTooShort):
             dfa_fluctuation(np.array([1.0, 2.0, 3.0]))  # default grid impossible
         # repeated scales leave ln n without variance, so the fit fails, and

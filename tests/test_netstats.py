@@ -24,6 +24,7 @@ from tsnet import (
     small_world_curve,
     small_world_verdict,
 )
+from tsnet.report import canonical_json
 from tsnet.visibility import VisibilityGraph
 
 from oracles import (
@@ -112,29 +113,43 @@ class TestDegreeDistribution:
         g = build_fast(rng.normal(size=500))
         dist = degree_distribution(g)
         assert dist.pdf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert dist.mean_degree() == pytest.approx(2 * g.m / g.n, rel=1e-12)
+        assert np.array_equal(dist.pdf, dist.counts / float(g.n))
+        assert dist.mean_degree() == 2 * g.m / g.n  # correctly rounded
         assert dist.k_min >= 1
         assert dist.k_max == g.degrees().max()
         assert np.all(dist.pdf > 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            DegreeDistribution(support=np.array([1, 2]), pdf=np.array([1.0]))
-        with pytest.raises(ValueError):
-            DegreeDistribution(support=np.array([1, 2]), pdf=np.array([0.5, 0.5]),
-                               counts=np.array([1]))
+        for support, counts in [
+            ([1, 2], [3]),  # misaligned
+            ([], []),  # empty
+            ([1, 2], [3, 0]),  # a zero count
+            ([1, 2], [0.5, 0.5]),  # float counts
+            ([1.0, 2.0], [1, 1]),  # float degrees
+        ]:
+            with pytest.raises(ValueError):
+                DegreeDistribution(support=np.array(support), counts=np.array(counts))
+
+    def test_mean_degree_exact_at_a_rounding_tie(self):
+        # 2m / n = 8844 / 1536 = 737 / 128 = 5.7578125, a tie at six
+        # decimals; the float sum of k p(k) reads 5.757812500000001, which
+        # would render as 5.757813
+        dist = DegreeDistribution(support=np.array([3, 7, 8]),
+                                  counts=np.array([530, 794, 212]))
+        assert dist.mean_degree() == 5.7578125
+        assert np.sum(dist.support * dist.pdf) > 5.7578125
+        assert canonical_json(dist.mean_degree()) == "5.757812\n"
 
 
 class TestTailFit:
     def test_exact_powerlaw_recovered(self):
-        ks = np.arange(2, 30)
-        pdf = ks.astype(float) ** -2.5
-        pdf /= pdf.sum()
-        dist = DegreeDistribution(support=ks, pdf=pdf)
+        # 27720 = lcm(1, ..., 12), so every count is exactly proportional to k^-2
+        ks = np.arange(2, 13)
+        dist = DegreeDistribution(support=ks, counts=27720**2 // ks**2)
         fit = fit_powerlaw_tail(dist, k_min=2)
-        assert fit.gamma == pytest.approx(2.5, abs=1e-10)
+        assert fit.gamma == pytest.approx(2.0, abs=1e-10)
         assert fit.r2 == pytest.approx(1.0, abs=1e-10)
-        assert fit.n_points == 28
+        assert fit.n_points == 11
 
     def test_default_range_uses_mean_degree(self, rng):
         g = build_fast(rng.normal(size=2000))
@@ -148,12 +163,9 @@ class TestTailFit:
         # of k p(k) reads 3.0000000000000004
         g = build_fast(np.array([3, 9, 1, 8, 8, 2, 4, 3, 6, 4], dtype=float))
         dist = degree_distribution(g)
-        assert (g.n, g.m) == (10, 15) and dist.mean_degree() > 3
+        assert (g.n, g.m) == (10, 15) and np.sum(dist.support * dist.pdf) > 3
+        assert dist.mean_degree() == 3
         assert fit_powerlaw_tail(dist).k_range == (3, 6)
-        # a distribution built by hand, without counts, keeps the float rule
-        by_hand = DegreeDistribution(support=dist.support, pdf=dist.pdf)
-        with pytest.raises(InsufficientTailPoints):
-            fit_powerlaw_tail(by_hand)
 
     def test_default_range_is_ceil_of_exact_mean(self):
         rng = np.random.default_rng(1)
@@ -162,7 +174,7 @@ class TestTailFit:
             g = build_fast(rng.integers(0, 10, int(rng.integers(4, 15))).astype(float))
             dist = degree_distribution(g)
             k_lo = -(-2 * g.m // g.n)
-            overshoots += int(np.ceil(dist.mean_degree())) != k_lo
+            overshoots += int(np.ceil(np.sum(dist.support * dist.pdf))) != k_lo
             try:
                 assert fit_powerlaw_tail(dist).k_range[0] == k_lo
             except InsufficientTailPoints as exc:
@@ -186,8 +198,9 @@ class TestTailFit:
     def test_non_integral_k_min(self, rng):
         # int() would start the fit at degree 2 and report k_range (2, ...)
         dist = degree_distribution(build_fast(rng.normal(size=2000)))
-        with pytest.raises(InvalidParam, match="k_min"):
-            fit_powerlaw_tail(dist, k_min=2.5)
+        for k_min in (2.5, np.nan, np.inf, np.float64(np.inf)):
+            with pytest.raises(InvalidParam, match="k_min"):
+                fit_powerlaw_tail(dist, k_min=k_min)
         assert fit_powerlaw_tail(dist, k_min=3.0).k_range == (3, dist.k_max)
 
 
@@ -775,6 +788,14 @@ class TestSmallWorld:
             small_world_curve(g, sizes=[1, 50])
         with pytest.raises(InvalidParam):
             small_world_curve(g, sizes=[50, 101])
+        # int() alone would truncate 10.7 to 10, and raise a bare
+        # ValueError or OverflowError on nan or inf; a string is no size
+        for sizes in ([10.7, 50.2, 100], [10, np.nan], [10, np.inf],
+                      [10, np.float64(np.inf)], [10, "50"]):
+            with pytest.raises(InvalidParam, match="prefix size"):
+                small_world_curve(g, sizes=sizes)
+        curve = small_world_curve(g, sizes=[10.0, np.int64(50), np.float64(100)])
+        assert curve.sizes.tolist() == [10, 50, 100]
 
     def test_verdict_thresholds(self):
         y = np.arange(32, dtype=float) ** 2

@@ -48,6 +48,18 @@ def _fgn_1024():
     return generate(GeneratorSpec(kind="fgn", n=1024, seed=3, params={"hurst": 0.8}))
 
 
+def test_non_integral_arguments_land_in_their_sections():
+    # a bare ValueError from int(nan) would escape run_stages
+    ts = generate(GeneratorSpec(kind="fgn", n=128, seed=3, params={"hurst": 0.8}))
+    stages = run_stages(ts, dfa_scales=[8, math.nan], small_world=True,
+                        prefix_sizes=[64, math.nan])
+    assert isinstance(stages["dfa"], InvalidParam)
+    assert isinstance(stages["curve"], InvalidParam)
+    report = build_report(stages)
+    assert report["hurst"]["error"] == report["small_world"]["error"] == "InvalidParam"
+    assert "error" not in report["degree_tail"] and "error" not in report["clustering"]
+
+
 @pytest.mark.parametrize("stage", ["series", "dfa", "graph", "dist", "clustering", "curve"])
 def test_array_results_compare_by_identity(stage):
     # TimeSeries, DfaResult, VisibilityGraph, DegreeDistribution,
