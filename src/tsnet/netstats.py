@@ -48,6 +48,8 @@ class DegreeDistribution:
                 or not {self.support.dtype.kind, self.counts.dtype.kind} <= {"i", "u"}
                 or self.counts.min() < 1):
             raise ValueError("need non-empty aligned integer arrays, counts positive")
+        if self.support[0] < 0 or np.any(self.support[1:] <= self.support[:-1]):
+            raise ValueError("support must be strictly increasing non-negative degrees")
 
     @property
     def pdf(self) -> np.ndarray:
@@ -313,18 +315,26 @@ def _pair_sums(g: VisibilityGraph, sizes: list[int]) -> list[int]:
         W' = W + W_B + 2 ((s - 1) D_B(a) + (n_B - 1) D)
         D' = D_B(b) + (s - 1) d_B(a, b) + D,    s' = s + n_B - 1,
 
-    all in Python integers.  A 2-node block between cut vertices is the
-    edge (a, a + 1), any other one a :func:`_block_sums` call on its
-    :func:`_interval_csr` slice.  The path is tested once, since prefixes
-    inherit it; without it each prefix is one block, with the kernel's errors.
+    all in Python integers.  The path is tested once, since prefixes
+    inherit it; without it each prefix is one block, with the kernel's
+    errors.
 
-    The edges (u, v), u < v, of the CSR's lower triangle come ordered by
-    v, so those of prefix k are a leading slice.  Block [a, b] of prefix k
-    is the subgraph induced by a..b, whatever k is, so its four integers
-    are kept by (a, b) for the call: along a small-world curve only a
-    prefix's new tail blocks run the kernel.
+    The whole curve is planned before any search runs: every prefix's
+    block ends, then the distinct blocks.  Block [a, b] of prefix k is
+    the subgraph induced by a..b, whatever k is, so it runs once however
+    many prefixes hold it.  A 2-node block between cut vertices is the
+    edge (a, a + 1).  Any other block of n_B nodes and m_B edges has w =
+    ``_pass_words(n_B, m_B)``.  One that a single pass covers (n_B <=
+    64 w) joins the block-diagonal union of every such block of the same
+    w, and each union is one one-pass :func:`_block_sums` call.  The
+    edges (u, v), u < v, of the CSR's lower triangle come ordered by v,
+    so those of prefix k are a leading slice; no edge passes over a, so
+    those of [a, b] are the slice with a < v <= b, from which the union
+    is rebuilt.  Each block has w = 1 or ``m_B w <= 128 n_B``, so the
+    union holds to ``_pass_words``' rule on memory too.  A block that
+    needs several passes runs alone on its :func:`_interval_csr` slice.
 
-    The dominators of ``g`` serve every block, shifted by its start,
+    The dominators of ``g`` serve every block, counted from its start,
     because no dominator below k lies outside its node's block.  A
     dominator is a neighbor, and a node that is not a cut vertex has all
     its neighbors in its block: an edge out of the block would pass over
@@ -332,14 +342,14 @@ def _pair_sums(g: VisibilityGraph, sizes: list[int]) -> list[int]:
     adjacent to t - 1 and t + 1, so it is one of them, with the edge
     (t - 1, t + 1), or another node with an edge to one of them, and
     either edge passes over t.  A dominator at k or beyond is at least
-    the block's size once shifted, so it reads as none.
+    the block's size once counted from its start, so it reads as none.
     """
     dom = _dominators(g)
     rows = np.repeat(np.arange(g.n), g.degrees())
     low = g.indices < rows
     u, v = g.indices[low], rows[low]
     path = np.count_nonzero(v - u == 1) == g.n - 1  # holds the path 0-1-...-n-1
-    blocks, sums = {}, []
+    cuts = []
     for k in sizes:
         ends = [0, k - 1]
         if path:
@@ -348,11 +358,35 @@ def _pair_sums(g: VisibilityGraph, sizes: list[int]) -> list[int]:
             over = np.cumsum(np.bincount(u[:inside] + 1, minlength=k)
                              - np.bincount(v[:inside], minlength=k))
             ends = np.flatnonzero(over == 0).tolist()
+        cuts.append(ends)
+    blocks = dict.fromkeys(pair for ends in cuts for pair in zip(ends, ends[1:]))
+    runs = {}  # pass width, or a block that needs several passes -> its blocks
+    for a, b in blocks:
+        if path and b == a + 1:
+            blocks[a, b] = (2, 1, 1, 1)
+            continue
+        lo, hi = np.searchsorted(v, (a, b), side="right")
+        words = _pass_words(b - a + 1, int(hi - lo))
+        runs.setdefault(words if b - a < 64 * words else (a, b), []).append((a, b, lo, hi))
+    for key, run in runs.items():
+        a, b, lo, hi = np.array(run).T
+        starts = np.r_[0, np.cumsum(b - a + 1)]
+        shift = starts[:-1] - a  # node x of block i is node x + shift[i] of the call
+        if isinstance(key, tuple):
+            indptr, indices = _interval_csr(g, key[0], key[1] + 1)
+        else:  # the blocks' edge slices, shifted, as directed entries grouped by row
+            pick = np.concatenate([np.arange(l, h) for l, h in zip(lo, hi)])
+            low_end, high_end = (x[pick] + np.repeat(shift, hi - lo) for x in (u, v))
+            rows = np.r_[high_end, low_end]
+            indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=starts[-1]))]
+            indices = np.r_[low_end, high_end][np.argsort(rows, kind="stable")]
+        node = np.arange(starts[-1]) - np.repeat(shift, b - a + 1)
+        found = _block_sums(indptr, indices, dom[node] - np.repeat(a, b - a + 1), starts)
+        blocks.update(zip(zip(a.tolist(), b.tolist()), found))
+    sums = []
+    for ends in cuts:
         total, size, dist = 0, 1, 0  # W, s and D of node 0 alone
         for a, b in zip(ends, ends[1:]):
-            if (a, b) not in blocks:
-                blocks[a, b] = (2, 1, 1, 1) if path and b == a + 1 else _block_sums(
-                    *_interval_csr(g, a, b + 1), dom[a : b + 1] - a)
             w, da, db, dab = blocks[a, b]
             total += w + 2 * ((size - 1) * da + (b - a) * dist)
             dist += db + (size - 1) * dab
@@ -369,22 +403,41 @@ def _interval_csr(g: VisibilityGraph, a: int, b: int) -> tuple[np.ndarray, np.nd
     return np.r_[0, np.cumsum(keep)][g.indptr[a : b + 1] - g.indptr[a]], head[keep] - a
 
 
-def _block_sums(indptr: np.ndarray, indices: np.ndarray,
-                dom: np.ndarray) -> tuple[int, int, int, int]:
-    """``(W, D(0), D(n - 1), d(0, n - 1))`` of the n-node graph with CSR
+def _block_sums(indptr: np.ndarray, indices: np.ndarray, dom: np.ndarray,
+                starts: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """``(W, D(a), D(b), d(a, b))`` of each block of the graph with CSR
     arrays ``indptr`` and ``indices``: its ordered-pair distance sum, the
-    distance sums from its first and last node, and the distance between
-    them, given ``dom``, the :func:`_dominators` of the graph or of one it
-    is a block of: node u is read from level 2 on only if ``dom[u] >= n``.
+    distance sums from its first node a and its last node b, and the
+    distance between them.  Block i holds the nodes ``starts[i]`` to
+    ``starts[i + 1] - 1``, and no edge joins two blocks.  ``dom[x]`` is
+    x's dominator counted from the start of x's block (:func:`_dominators`
+    of the graph or of one it is a block of): x is read from level 2 on
+    only if ``dom[x]`` is at least its block's size.
 
     Bit-parallel multi-source breadth-first search (Akiba, Iwata &
     Yoshida 2013; Then et al. 2014): each pass carries up to 512 sources
     as one bit each in a ``(n, words)`` uint64 array and expands all of
     their frontiers at once, one level per step.  Distances are summed as
-    Python integers, so the result is identical at any pass width.  An
-    end node's distance sum is the sum over levels l >= 0 of the nodes it
-    has not reached by level l, read off its bit column of the unseen
-    bits; d(0, n - 1) counts the levels before node n - 1 sees node 0.
+    Python integers, so the result is identical at any pass width.  One
+    block runs in passes of ``_pass_words(n, m)`` words, source
+    ``start + i`` of a pass on bit i.  W sums l times each level's new
+    bits.  An end node's distance sum is the sum over levels l >= 0 of
+    the nodes it has not reached by level l, read off its bit column of
+    the unseen bits in its own pass.
+
+    Several blocks run in one pass, of as many words as the largest
+    needs, and a source's bit is its index in its own block.  Blocks
+    share bits, yet each row's bits name single sources.  A bit enters a
+    row only along an edge: level 1 sets it on the source's neighbors,
+    and later levels OR neighbor rows.  No edge joins two blocks, so by
+    induction a row holds only bits of sources in its own block, and
+    there each bit is one source.  A row's unseen mask holds its block's
+    bits less its own, so its new bits at level l are exactly its
+    block's sources at distance l.  Each row therefore sums l times its
+    new bits, which is its distance sum in its block: W sums those rows
+    over the block, and D(a) and D(b) are the rows of a and b.  With one
+    block or several, d(a, b) counts the levels before row b sees bit 0,
+    which is a's in the first pass.
 
     Level 1 scatters each source's bit over its neighbor list.  From
     level 2 on, a node ORs together the frontiers of its undominated
@@ -394,7 +447,8 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray,
     Following dominators from u ends at an undominated w with N[u] ⊆
     N[w], so x and v lie in N[w]; x is not in N[v], so w != v, and w is
     a neighbor of v at distance l - 1 from s.  A node with no undominated
-    neighbor is adjacent to every node, and reads its first neighbor.
+    neighbor is adjacent to every node of its block, and reads its first
+    neighbor.
 
     The read lists are padded to a multiple of ``_CHUNK`` by repeating
     their last entry, which is exact because OR is idempotent, and stored
@@ -409,15 +463,19 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray,
     gain nothing, and are skipped.  Their last frontier may still be read
     by a later level, but a neighbor has seen those sources one level
     after them, so ``unseen`` masks the bits.  A pass stops once every
-    pair is reached.  Source ``s`` still owns its own bit, so the sum
-    does not depend on the labels.
+    row has seen each source of its block in the pass; a level that adds
+    no bit before then leaves a pair unreached.  Source ``s`` still owns
+    its own bit, so the sum does not depend on the labels.
     """
     n, deg = indptr.size - 1, np.diff(indptr)
     # Also required by the kernel: a node without neighbors has no chunk.
     if np.any(deg == 0):
         raise DisconnectedGraph("graph has an isolated node")
-    width = 64 * _pass_words(n, indices.size // 2)
-    read = dom[indices] >= n
+    sizes = starts[1:] - starts[:-1]
+    block = np.repeat(np.arange(sizes.size), sizes)  # node -> its block
+    several = sizes.size > 1
+    step = n if several else 64 * _pass_words(n, indices.size // 2)  # sources per pass
+    read = (dom >= sizes[block])[indices]
     reads = np.diff(np.cumsum(read)[indptr[1:] - 1], prepend=0)
     read[indptr[:-1][reads == 0]] = True  # reading any neighbor is exact
     reads = np.maximum(reads, 1)
@@ -437,32 +495,44 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray,
     ends = first[multi] + np.searchsorted(-reads[multi:], -np.arange(_CHUNK))
     # one set of buffers for every pass, sized for the widest; a pass of
     # fewer words views the head of each
-    most = -(-min(width, n) // 64)
+    most = -(-min(step, int(sizes.max())) // 64)
     bufs = [np.empty(r * most, dtype=t) for r, t in
             ((n, np.uint64), (n, np.uint64), (n, np.uint8),
              (slots.shape[1], np.uint64), (slots.shape[1], np.uint64))]
+    bit_of = np.arange(n) - starts[block]  # a node's index in its block
+    row_block = block[order]
 
-    total, far = 0, 1  # far is d(0, n - 1)
-    end_sums = {0: n - 1, n - 1: n - 1}  # by level 0, each end has reached itself
-    for start in range(0, n, width):
-        k = min(width, n - start)
-        words = -(-k // 64)
+    total, end_sums = 0, {}
+    if several:  # level 1 of the one pass adds each row's degree to its sum
+        row_sums = deg[order].astype(np.uint64)
+        far, last = np.ones(sizes.size, dtype=np.uint64), label[starts[1:] - 1]
+    else:  # by level 0, each end has reached itself; far indexes one scalar,
+        # at a tenth of the cost per level
+        end_sums = {0: n - 1, n - 1: n - 1}
+        far, last = 1, label[n - 1]
+    for start in range(0, n, step):
+        k = min(step, n - start)
+        have = np.minimum(sizes - start, k)  # sources per block
+        words = -(-int(have.max()) // 64)
         frontier, unseen, counts, gathered, scratch = (
             buf[: buf.size // most * words].reshape(-1, words) for buf in bufs
         )
-        own = np.arange(k)  # source start + b owns bit b
+        own = bit_of[start : start + k] - start  # source start + i owns bit own[i]
         bits = np.left_shift(np.uint64(1), (own % 64).astype(np.uint64))
-        # every row misses the k source bits, less its own
-        unseen[:] = np.bitwise_or.reduceat(bits, np.arange(0, k, 64))
-        unseen[label[start + own], own // 64] ^= bits
+        # every row misses the bits of its block's sources, less its own
+        masks = np.zeros((sizes.size, words), dtype=np.uint64)
+        np.bitwise_or.at(masks, (block[start : start + k], own // 64), bits)
+        masks.take(row_block, axis=0, out=unseen, mode="clip")
+        unseen[label[start : start + k], own // 64] ^= bits
         # level 1: each source's bit on every neighbor, a distinct bit per entry
         lo, hi = indptr[start], indptr[start + k]
-        bit = np.repeat(own, deg[start : start + k])
+        fan = deg[start : start + k]
         frontier.fill(0)
-        np.bitwise_or.at(frontier, (label[indices[lo:hi]], bit // 64), bits[bit])
+        np.bitwise_or.at(frontier, (label[indices[lo:hi]], np.repeat(own // 64, fan)),
+                         np.repeat(bits, fan))
         unseen ^= frontier
         total += int(hi - lo)
-        reached = k + int(hi - lo)
+        reached, goal = k + int(hi - lo), int(have @ sizes)
         level = 1
         settled = int(np.argmax(unseen.reshape(-1) != 0)) // words
         tracked = [(s, s - start) for s in end_sums if start <= s < start + k]
@@ -470,8 +540,8 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray,
             for s, b in tracked:
                 end_sums[s] += int(np.count_nonzero(unseen[settled:, b // 64] & bits[b]))
             if start == 0:
-                far += bool(unseen[label[n - 1], 0] & bits[0])
-            if reached == k * n:
+                far += unseen[last, 0] & 1
+            if reached == goal:
                 break
             level += 1
             c = first[settled]
@@ -493,10 +563,16 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray,
             if count == 0:
                 raise DisconnectedGraph("graph has unreachable node pairs")
             total += level * count
+            if several:
+                row_sums[settled:] += level * counts[settled:].sum(axis=1)
             reached += count
             unseen[settled:] ^= frontier[settled:]
             settled += int(np.argmax(unseen[settled:].reshape(-1) != 0)) // words
-    return total, end_sums[0], end_sums[n - 1], far
+    if not several:
+        return [(total, end_sums[0], end_sums[n - 1], int(far))]
+    row_sums = row_sums[label]  # by node
+    return list(zip(np.add.reduceat(row_sums, starts[:-1]).tolist(), row_sums[starts[:-1]].tolist(),
+                    row_sums[starts[1:] - 1].tolist(), far.tolist()))
 
 
 def default_prefix_sizes(n: int) -> list[int]:

@@ -53,6 +53,8 @@ class VisibilityGraph:
     m: int = field(init=False)
 
     def __post_init__(self):
+        if not {np.asarray(a).dtype.kind for a in (self.indptr, self.indices)} <= {"i", "u"}:
+            raise ValueError("CSR arrays must hold integers")
         indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(self.indices, dtype=np.int64)
         n = indptr.size - 1

@@ -126,6 +126,9 @@ class TestDegreeDistribution:
             ([1, 2], [3, 0]),  # a zero count
             ([1, 2], [0.5, 0.5]),  # float counts
             ([1.0, 2.0], [1, 1]),  # float degrees
+            ([9, 3, 5, 7], [1, 1, 1, 1]),  # unsorted: k_min 9, k_max 7
+            ([3, 3, 5], [1, 1, 1]),  # a repeated degree
+            ([-1, 3, 5, 6], [1, 1, 1, 1]),  # a negative degree
         ]:
             with pytest.raises(ValueError):
                 DegreeDistribution(support=np.array(support), counts=np.array(counts))
@@ -334,17 +337,22 @@ def _connected_graphs(draw):
     return graph_from_pairs(n, [(perm[a], perm[b]) for a, b in pairs])
 
 
+def _kernel_want(g):
+    """``(W, D(a), D(b), d(a, b))`` of ``g`` by Floyd-Warshall."""
+    dist = floyd_warshall_distances(g)
+    return tuple(map(int, (dist.sum(), dist[0].sum(), dist[-1].sum(), dist[0, -1])))
+
+
 def _assert_exact(g):
     """The average path, and the kernel's four integers on the whole graph,
     against Floyd-Warshall.  Graphs that hold the path 0-1-...-n-1 reach
     the kernel only in blocks through the public function, so the kernel
     also runs on the whole graph here."""
     n = g.n
-    dist = floyd_warshall_distances(g)
-    assert all_pairs_average_path(g) == dist.sum() / (n * (n - 1))
-    want = (dist.sum(), dist[0].sum(), dist[-1].sum(), dist[0, -1])
+    want = _kernel_want(g)
+    assert all_pairs_average_path(g) == want[0] / (n * (n - 1))
     dom = netstats._dominators(g)
-    assert netstats._block_sums(g.indptr, g.indices, dom) == tuple(map(int, want))
+    assert netstats._block_sums(g.indptr, g.indices, dom, np.array([0, n])) == [want]
 
 
 class TestBitParallelBfs:
@@ -461,6 +469,62 @@ class TestBitParallelBfs:
             all_pairs_average_path(g)
 
 
+def _union(graphs):
+    """The block-diagonal union of ``graphs``, built by the oracle, each
+    block's dominators counted from its start, and the block starts."""
+    starts = np.cumsum([0] + [g.n for g in graphs])
+    pairs = [(a + s, b + s) for g, s in zip(graphs, starts.tolist())
+             for a, b in g.edge_array().tolist()]
+    union = graph_from_pairs(int(starts[-1]), pairs)
+    return union, np.concatenate([netstats._dominators(g) for g in graphs]), starts
+
+
+def _union_sums(graphs):
+    union, dom, starts = _union(graphs)
+    return netstats._block_sums(union.indptr, union.indices, dom, starts)
+
+
+class TestUnionKernel:
+    """Several blocks in one kernel call, one pass, each source's bit its
+    index in its block: exact per block against Floyd-Warshall."""
+
+    # either side of the steps from 1 to 2, 2 to 3 and 7 to 8 words
+    SIZES = [3, 64, 65, 128, 129, 448, 449, 512]
+
+    def test_blocks_at_pass_width_edges(self, rng):
+        # sparse noise graphs and hub-heavy walk graphs, in two orders
+        graphs = [_walk_graph(n, rng) if i % 2 else build_fast(rng.normal(size=n))
+                  for i, n in enumerate(self.SIZES)]
+        want = [_kernel_want(g) for g in graphs]
+        assert _union_sums(graphs) == want
+        assert _union_sums(graphs[::-1]) == want[::-1]
+
+    def test_block_past_one_pass_runs_alone(self, rng):
+        g = build_fast(rng.normal(size=513))
+        assert netstats._pass_words(g.n, g.m) == 8  # two passes
+        _assert_exact(g)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_connected_graphs(), min_size=2, max_size=4))
+    def test_random_unions(self, graphs):
+        assert _union_sums(graphs) == [_kernel_want(g) for g in graphs]
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_disconnected_block(self, first):
+        # two paths of 10 nodes: no node is isolated
+        split = graph_from_pairs(20, [(i, i + 1) for i in range(19) if i != 9])
+        graphs = [split, _path_graph(30)] if first else [_path_graph(30), split]
+        with pytest.raises(DisconnectedGraph, match="unreachable"):
+            _union_sums(graphs)
+
+    @pytest.mark.parametrize("lone", [graph_from_pairs(1, []),
+                                      graph_from_pairs(10, [(i, i + 1) for i in range(8)])],
+                             ids=["one-node-block", "last-node"])
+    def test_isolated_node(self, lone):
+        with pytest.raises(DisconnectedGraph, match="isolated node"):
+            _union_sums([_path_graph(30), lone, _complete_graph(9)])
+
+
 def _series(kind, n, rng):
     if kind == "ramp":
         return np.arange(n, dtype=np.float64)
@@ -529,9 +593,11 @@ class TestDominators:
         counts = []
         kernel = netstats._block_sums
 
-        def counted(indptr, indices, d):
-            counts.append((np.count_nonzero(d[indices] >= indptr.size - 1), indices.size))
-            return kernel(indptr, indices, d)
+        def counted(indptr, indices, d, starts):
+            sizes = np.diff(starts)  # a node is read if d reaches its block's size
+            counts.append((np.count_nonzero((d >= np.repeat(sizes, sizes))[indices]),
+                           indices.size))
+            return kernel(indptr, indices, d, starts)
 
         monkeypatch.setattr(netstats, "_block_sums", counted)
         all_pairs_average_path(g)
@@ -541,13 +607,13 @@ class TestDominators:
 
 @pytest.fixture
 def kernel_sizes(monkeypatch):
-    """Node counts of the graphs that the all-pairs kernel runs on."""
+    """The block sizes of each all-pairs kernel call, one list per call."""
     sizes = []
     kernel = netstats._block_sums
 
-    def counted(indptr, indices, dom):
-        sizes.append(indptr.size - 1)
-        return kernel(indptr, indices, dom)
+    def counted(indptr, indices, dom, starts):
+        sizes.append(np.diff(starts).tolist())
+        return kernel(indptr, indices, dom, starts)
 
     monkeypatch.setattr(netstats, "_block_sums", counted)
     return sizes
@@ -609,14 +675,15 @@ class TestBlockFold:
         assert len(cut_vertices(g)) > 0
         for k, length in zip(curve.sizes.tolist(), curve.lengths.tolist()):
             h = build_fast(y[:k])
-            assert length == netstats._block_sums(h.indptr, h.indices, dom[:k])[0] / (k * (k - 1))
+            [(w, _, _, _)] = netstats._block_sums(h.indptr, h.indices, dom[:k], np.array([0, k]))
+            assert length == w / (k * (k - 1))
 
     def test_graph_without_a_path_edge_is_one_block(self, kernel_sizes):
         # a path with (20, 21) swapped for (19, 21): split at the nodes no
         # edge passes over, it would be 38 blocks
         g = graph_from_pairs(40, [(i, i + 1) for i in range(39) if i != 20] + [(19, 21)])
         assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
-        assert kernel_sizes == [40]
+        assert kernel_sizes == [[40]]
         # the path is tested on g, so each prefix is one block too, even
         # those below the gap, which hold their own path
         sizes = [10, 21, 40]
@@ -624,7 +691,10 @@ class TestBlockFold:
         assert curve.lengths.tolist() == [
             floyd_warshall_average_path(induced(g, 0, k)) for k in sizes
         ]
-        assert kernel_sizes == [40, *sizes]
+        # the planned blocks, then the kernel calls: one pass of one word
+        # covers all three, so they run as one union
+        assert [n for call in kernel_sizes[1:] for n in call] == sizes
+        assert kernel_sizes[1:] == [sizes]
 
     def test_blocks_run_once_per_curve(self, kernel_sizes):
         # blocks [0, 4] and [4, 9] of prefix 10 serve prefix 16, which
@@ -634,7 +704,10 @@ class TestBlockFold:
         pairs += [(0, 4), (4, 9), (9, 15), (15, 19), (10, 15)]
         g = graph_from_pairs(21, pairs)
         curve = small_world_curve(g, sizes=[10, 16])
-        assert kernel_sizes == [5, 6, 7, 5]
+        # the planned blocks, then the kernel calls: all four are one word
+        # wide, so they run as one union
+        assert [n for call in kernel_sizes for n in call] == [5, 6, 7, 5]
+        assert kernel_sizes == [[5, 6, 7, 5]]
         assert curve.average_path_full == floyd_warshall_average_path(g)
 
     @pytest.mark.parametrize("kind", ["fgn", "walk1"])
@@ -653,7 +726,17 @@ class TestBlockFold:
         small_world_curve(g)
         all_pairs_average_path(g)
         assert built == []
-        assert len(kernel_sizes) > 1  # the fold ran the kernel on several blocks
+        blocks = [n for call in kernel_sizes for n in call]
+        assert len(blocks) > 1  # the fold ran the kernel on several blocks
+        assert len(kernel_sizes) < len(blocks)  # and some of them as a union
+
+    def test_default_curve_kernel_calls(self, kernel_sizes):
+        # exact, host-independent cost gate: the curve of fGn N = 4096 seed
+        # 7 has 82 blocks of three or more nodes; the 7 that need more than
+        # one pass run alone, and the rest as one union per pass width
+        small_world_curve(build_fast(_fgn(4096, 7)))
+        assert sum(map(len, kernel_sizes)) == 82
+        assert len(kernel_sizes) <= 13
 
     @pytest.mark.parametrize("y", [
         pytest.param(lambda: np.sqrt(np.arange(1.0, 4097.0)), id="sqrt"),

@@ -24,21 +24,21 @@ SHORT_CURVE_REPORT_SHA256 = "b63785aea590578751d57575dae33d615082596df3c6c447dab
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The node counts of the graphs that ``_block_sums`` (given CSR arrays),
-    ``_dominators`` and the triangle count ``_common_neighbors`` see, by
-    kernel name."""
+    """Per call, by kernel name: the block sizes that ``_block_sums`` runs
+    (given CSR arrays and block starts), and the node counts of the graphs
+    that ``_dominators`` and the triangle count ``_common_neighbors`` see."""
     calls = {"_block_sums": [], "_dominators": [], "_common_neighbors": []}
 
     def count(name, nodes):
         original = getattr(tsnet.netstats, name)
 
-        def counted(first, *args):
-            calls[name].append(nodes(first))
-            return original(first, *args)
+        def counted(*args):
+            calls[name].append(nodes(*args))
+            return original(*args)
 
         monkeypatch.setattr(tsnet.netstats, name, counted)
 
-    count("_block_sums", lambda indptr: indptr.size - 1)
+    count("_block_sums", lambda indptr, indices, dom, starts: np.diff(starts).tolist())
     count("_dominators", lambda g: g.n)
     count("_common_neighbors", lambda g: g.n)
     return calls
@@ -86,8 +86,12 @@ class TestAveragePathStage:
             # the whole graph adds [192, 489], [489, 879], [879, 995], [995, 1022]
             + [298, 391, 117, 28]
         )
+        # every block fits one pass, so the blocks of each pass width, in
+        # words, run as one union: 1, 2, 3, 5 and 7 words
+        calls = [[5, 55, 6, 3, 54, 11, 28], [68, 117], [135], [298], [391]]
+        assert sorted(n for call in calls for n in call) == sorted(blocks)
         # clustering and the dominators share one triangle count
-        expected = {"_block_sums": blocks, "_dominators": [1024],
+        expected = {"_block_sums": calls, "_dominators": [1024],
                     "_common_neighbors": [1024]}
         assert kernel_calls == expected
         text = canonical_json(build_report(stages))
@@ -98,9 +102,12 @@ class TestAveragePathStage:
         stages = run_stages(_fgn_1024(), small_world=True, prefix_sizes=[64, 1024])
         # the whole graph reuses [0, 4] and [4, 58] of prefix 64, and runs
         # [58, 192] and the blocks after it
+        blocks = [5, 55, 6, 135, 298, 391, 117, 28]
+        # one union per pass width: 1, 3, 5, 7 and 2 words
+        calls = [[5, 55, 6, 28], [135], [298], [391], [117]]
+        assert sorted(n for call in calls for n in call) == sorted(blocks)
         assert kernel_calls == {
-            "_block_sums": [5, 55, 6, 135, 298, 391, 117, 28], "_dominators": [1024],
-            "_common_neighbors": [1024],
+            "_block_sums": calls, "_dominators": [1024], "_common_neighbors": [1024],
         }
         curve = stages["curve"]
         assert curve.average_path_full == float(curve.lengths[-1])

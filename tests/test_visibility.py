@@ -358,6 +358,21 @@ class TestVisibilityGraphValidation:
             with pytest.raises(TypeError):
                 VisibilityGraph(g.indptr, g.indices, **{size: 2})
 
+    @pytest.mark.parametrize("indptr, indices", [
+        (np.array([0.0, 1.0, 2.0]), np.array([1.7, 0.2])),  # read as [1, 0] when cast
+        (np.array([0, 1, 2]), np.array([1.0, 0.0])),
+        (np.array([0.0, 1.0, 2.0]), np.array([1, 0])),
+        (np.array([0, 1, 2]), np.array([True, False])),
+    ], ids=["both-float", "float-indices", "float-indptr", "bool-indices"])
+    def test_rejects_non_integer_dtype(self, indptr, indices):
+        with pytest.raises(ValueError, match="integers"):
+            VisibilityGraph(indptr, indices)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64])
+    def test_accepts_any_integer_dtype(self, dtype):
+        g = VisibilityGraph(np.array([0, 1, 2], dtype=dtype), np.array([1, 0], dtype=dtype))
+        assert (g.n, g.m) == (2, 1) and g.indices.dtype == np.int64
+
     def test_rejects_malformed_indptr(self):
         with pytest.raises(ValueError):
             self.graph([0, 1], [1, 0])
