@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import re
 import sys
+from datetime import date
 from pathlib import Path
 
 from .errors import EmptySeries, TsnetError
@@ -49,6 +51,20 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+def _date_end(text: str) -> str:
+    """A ``--date-end`` value: YYYY, YYYY-MM or YYYY-MM-DD of a real date."""
+    found = re.fullmatch(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?", text)
+    try:
+        if found:
+            date(*(int(part or 1) for part in found.groups()))
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected YYYY, YYYY-MM or YYYY-MM-DD of a real date, got {text!r}"
+    )
 
 
 def _load_series(path: str, column: str, date_end: str | None) -> TimeSeries:
@@ -163,9 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--date-end",
+        type=_date_end,
         default=None,
-        metavar="YYYY-MM[-DD]",
-        help="keep only rows dated on or before this (prefix match allowed); "
+        metavar="YYYY[-MM[-DD]]",
+        help="keep only rows dated on or before this year, month or day; "
         "dates come from the column named 'date' (any case), else the first "
         "whose header contains 'date'",
     )

@@ -299,31 +299,34 @@ def all_pairs_average_path(g: VisibilityGraph) -> float:
 def _pair_sums(g: VisibilityGraph, sizes: list[int]) -> list[int]:
     """Ordered-pair distance sums of nodes 0..k-1 of ``g``, one per k in ``sizes``.
 
-    A natural visibility graph holds the path 0-1-...-n-1, so an interior
-    node t is a cut vertex exactly when no edge (a, b) has a < t < b: a
-    difference array over the edges finds them all.  The blocks are the
-    intervals [a, b] between consecutive cut vertices (and the two ends),
-    and they form a chain.  Where G1 and G2 share only the node c, with
-    sizes n1 and n2 counting c and distance sums D1(c) and D2(c) from c,
-    the unordered pair sum is W1 + W2 + (n1 - 1) D2(c) + (n2 - 1) D1(c)
-    (the cut-vertex rule for the Wiener index; Dobrynin, Entringer &
-    Gutman, Acta Appl. Math. 66, 2001).  So the blocks fold left to
-    right, keeping the ordered pair sum W, the size s and the distance
-    sum D from the last node: block [a, b] of n_B nodes, with ordered pair
-    sum W_B, end sums D_B(a), D_B(b) and distance d_B(a, b), gives
+    A prefix splits at each node t that no edge (a, b) passes over, a < t
+    < b, which a difference array over the edges finds.  The blocks are
+    the intervals [a, b] between consecutive split nodes, 0 and k - 1
+    among them, and they form a chain.  On a connected prefix an interior
+    split node t is a cut vertex with a neighbor on each side, since an
+    edge between [0, t) and (t, k) would pass over t.  Where G1 and G2
+    share only the node c, with sizes n1 and n2 counting c and distance
+    sums D1(c) and D2(c) from c, the unordered pair sum is
+    W1 + W2 + (n1 - 1) D2(c) + (n2 - 1) D1(c) (the cut-vertex rule for the
+    Wiener index; Dobrynin, Entringer & Gutman, Acta Appl. Math. 66,
+    2001).  So the blocks fold left to right, keeping the ordered pair sum
+    W, the size s and the distance sum D from the last node: block [a, b]
+    of n_B nodes, with ordered pair sum W_B, end sums D_B(a), D_B(b) and
+    distance d_B(a, b), gives
 
         W' = W + W_B + 2 ((s - 1) D_B(a) + (n_B - 1) D)
         D' = D_B(b) + (s - 1) d_B(a, b) + D,    s' = s + n_B - 1,
 
-    all in Python integers.  The path is tested once, since prefixes
-    inherit it; without it each prefix is one block, with the kernel's
-    errors.
+    all in Python integers.  A disconnected prefix has a disconnected
+    block (a chain of connected blocks is connected), which the kernel
+    rejects.
 
     The whole curve is planned before any search runs: every prefix's
     block ends, then the distinct blocks.  Block [a, b] of prefix k is
     the subgraph induced by a..b, whatever k is, so it runs once however
-    many prefixes hold it.  A 2-node block between cut vertices is the
-    edge (a, a + 1).  Any other block of n_B nodes and m_B edges has w =
+    many prefixes hold it.  A 2-node block that holds the edge (a, a + 1)
+    needs no search; without it, both nodes are isolated, which the
+    kernel rejects.  Any other block of n_B nodes and m_B edges has w =
     ``_pass_words(n_B, m_B)``.  One that a single pass covers (n_B <=
     64 w) joins the block-diagonal union of every such block of the same
     w, and each union is one one-pass :func:`_block_sums` call.  The
@@ -334,35 +337,35 @@ def _pair_sums(g: VisibilityGraph, sizes: list[int]) -> list[int]:
     union holds to ``_pass_words``' rule on memory too.  A block that
     needs several passes runs alone on its :func:`_interval_csr` slice.
 
-    The dominators of ``g`` serve every block, counted from its start,
-    because no dominator below k lies outside its node's block.  A
-    dominator is a neighbor, and a node that is not a cut vertex has all
-    its neighbors in its block: an edge out of the block would pass over
-    a cut vertex.  A cut vertex t has no dominator below k: one would be
-    adjacent to t - 1 and t + 1, so it is one of them, with the edge
-    (t - 1, t + 1), or another node with an edge to one of them, and
-    either edge passes over t.  A dominator at k or beyond is at least
-    the block's size once counted from its start, so it reads as none.
+    On a connected prefix, the dominators of ``g`` serve every block,
+    counted from its start: no dominator below k lies outside its node's
+    block.  A dominator is a neighbor, and an edge out of [a, b] would
+    pass over a or b, so only an interior split node t has neighbors
+    below k outside its block.  None of them dominates t: one on either
+    side would be adjacent to t's neighbor on the other side, by an edge
+    over t.  A dominator at k or beyond is at least the block's size once
+    counted from its start, so it reads as none.  On a disconnected
+    prefix a dominator may point out of its block, but that only leaves
+    neighbors unread, and a search along fewer edges reaches no more
+    nodes, so the kernel still rejects the disconnected block.
     """
     dom = _dominators(g)
     rows = np.repeat(np.arange(g.n), g.degrees())
     low = g.indices < rows
     u, v = g.indices[low], rows[low]
-    path = np.count_nonzero(v - u == 1) == g.n - 1  # holds the path 0-1-...-n-1
     cuts = []
     for k in sizes:
-        ends = [0, k - 1]
-        if path:
-            inside = int(np.searchsorted(v, k))
-            # over[t] counts the edges (a, b) with a < t < b
-            over = np.cumsum(np.bincount(u[:inside] + 1, minlength=k)
-                             - np.bincount(v[:inside], minlength=k))
-            ends = np.flatnonzero(over == 0).tolist()
-        cuts.append(ends)
+        inside = int(np.searchsorted(v, k))
+        # over[t] counts the edges (a, b) with a < t < b
+        over = np.cumsum(np.bincount(u[:inside] + 1, minlength=k)
+                         - np.bincount(v[:inside], minlength=k))
+        cuts.append(np.flatnonzero(over == 0).tolist())
     blocks = dict.fromkeys(pair for ends in cuts for pair in zip(ends, ends[1:]))
+    # the nodes a < n - 1 without the edge (a, a + 1): none on a visibility graph
+    gaps = set(np.flatnonzero(np.bincount(u[v - u == 1], minlength=g.n - 1) == 0).tolist())
     runs = {}  # pass width, or a block that needs several passes -> its blocks
     for a, b in blocks:
-        if path and b == a + 1:
+        if b == a + 1 and a not in gaps:
             blocks[a, b] = (2, 1, 1, 1)
             continue
         lo, hi = np.searchsorted(v, (a, b), side="right")
@@ -462,9 +465,9 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray, dom: np.ndarray,
     settle first: the rows before ``settled`` have no unseen bit, can
     gain nothing, and are skipped.  Their last frontier may still be read
     by a later level, but a neighbor has seen those sources one level
-    after them, so ``unseen`` masks the bits.  A pass stops once every
-    row has seen each source of its block in the pass; a level that adds
-    no bit before then leaves a pair unreached.  Source ``s`` still owns
+    after them, so ``unseen`` masks the bits.  A pass stops once row
+    ``settled`` has no unseen bit, so no row has one; a level that adds no
+    bit before then leaves a pair unreached.  Source ``s`` still owns
     its own bit, so the sum does not depend on the labels.
     """
     n, deg = indptr.size - 1, np.diff(indptr)
@@ -512,8 +515,7 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray, dom: np.ndarray,
         far, last = 1, label[n - 1]
     for start in range(0, n, step):
         k = min(step, n - start)
-        have = np.minimum(sizes - start, k)  # sources per block
-        words = -(-int(have.max()) // 64)
+        words = -(-min(k, int(sizes.max()) - start) // 64)  # for the largest block
         frontier, unseen, counts, gathered, scratch = (
             buf[: buf.size // most * words].reshape(-1, words) for buf in bufs
         )
@@ -532,7 +534,6 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray, dom: np.ndarray,
                          np.repeat(bits, fan))
         unseen ^= frontier
         total += int(hi - lo)
-        reached, goal = k + int(hi - lo), int(have @ sizes)
         level = 1
         settled = int(np.argmax(unseen.reshape(-1) != 0)) // words
         tracked = [(s, s - start) for s in end_sums if start <= s < start + k]
@@ -541,7 +542,7 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray, dom: np.ndarray,
                 end_sums[s] += int(np.count_nonzero(unseen[settled:, b // 64] & bits[b]))
             if start == 0:
                 far += unseen[last, 0] & 1
-            if reached == goal:
+            if not np.count_nonzero(unseen[settled]):  # nor has any row after it
                 break
             level += 1
             c = first[settled]
@@ -565,7 +566,6 @@ def _block_sums(indptr: np.ndarray, indices: np.ndarray, dom: np.ndarray,
             total += level * count
             if several:
                 row_sums[settled:] += level * counts[settled:].sum(axis=1)
-            reached += count
             unseen[settled:] ^= frontier[settled:]
             settled += int(np.argmax(unseen[settled:].reshape(-1) != 0)) // words
     if not several:
@@ -590,8 +590,9 @@ def small_world_curve(g: VisibilityGraph,
     The graph of the first k samples is the subgraph of ``g`` induced by
     nodes 0..k-1, so the dominators of ``g`` serve every prefix, and the
     whole graph too where the last size is below ``g.n``.  Every length is
-    one fold of a single :func:`_pair_sums` call over :func:`_interval_csr`
-    slices: no graph is built, a block runs the kernel once.
+    one fold of a single :func:`_pair_sums` call, and no graph is built: a
+    block runs the kernel once, in a union rebuilt from lower-triangle edge
+    slices or, past one pass, alone on its :func:`_interval_csr` slice.
     """
     n = g.n
     if sizes is None:

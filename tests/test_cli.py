@@ -32,6 +32,15 @@ def dated_csv(write_csv):
     return write_csv("date,epu\n" + rows + "\n")
 
 
+@pytest.fixture
+def daily_csv(write_csv):
+    # 28 days in each of January to March 1985
+    rows = "".join(
+        f"1985-{m:02d}-{d:02d},{float(d)!r}\n" for m in range(1, 4) for d in range(1, 29)
+    )
+    return write_csv("date,epu\n" + rows)
+
+
 class TestGen:
     def test_writes_header_and_rows(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -242,6 +251,23 @@ class TestDateHandling:
         assert run(["analyze", "--input", dated_csv, "--column", "epu",
                     "--date-end", "2017-01"]) == 1
         assert "2017-01" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["19850201", "abc", "1985-13", "", "1985-2",
+                                     "1985-02-30", "1985-01- 1", "0000"])
+    def test_bad_date_end_is_usage_error(self, daily_csv, capsys, bad):
+        # compared with the stamps as a string prefix, the first five used
+        # to keep every row
+        with pytest.raises(SystemExit) as exc_info:
+            run(["analyze", "--input", daily_csv, "--column", "epu", "--date-end", bad])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--date-end" in err
+
+    @pytest.mark.parametrize("end, n", [("1985", 84), ("1985-02", 56), ("1985-02-03", 31)])
+    def test_date_end_on_daily_file(self, daily_csv, capsys, end, n):
+        assert run(["analyze", "--input", daily_csv, "--column", "epu",
+                    "--date-end", end]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["n"] == n
 
     def test_date_end_without_dates(self, fgn_csv, capsys):
         assert run(["analyze", "--input", fgn_csv, "--column", "value",

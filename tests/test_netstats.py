@@ -33,6 +33,7 @@ from oracles import (
     clustering_by_triples,
     cut_vertices,
     dominators_by_sets,
+    edge_set,
     floyd_warshall_average_path,
     floyd_warshall_distances,
     graph_from_pairs,
@@ -223,7 +224,8 @@ class TestPaths:
             all_pairs_average_path(graph_from_pairs(1, []))
 
     def test_two_nodes_without_an_edge(self):
-        # without the path, the graph is one block for the kernel, even on 2 nodes
+        # a 2-node block without its edge goes to the kernel, which finds
+        # both nodes isolated
         with pytest.raises(DisconnectedGraph, match="isolated node"):
             all_pairs_average_path(graph_from_pairs(2, []))
 
@@ -345,9 +347,9 @@ def _kernel_want(g):
 
 def _assert_exact(g):
     """The average path, and the kernel's four integers on the whole graph,
-    against Floyd-Warshall.  Graphs that hold the path 0-1-...-n-1 reach
-    the kernel only in blocks through the public function, so the kernel
-    also runs on the whole graph here."""
+    against Floyd-Warshall.  Through the public function a graph reaches
+    the kernel only in blocks, so the kernel also runs on the whole graph
+    here."""
     n = g.n
     want = _kernel_want(g)
     assert all_pairs_average_path(g) == want[0] / (n * (n - 1))
@@ -467,6 +469,11 @@ class TestBitParallelBfs:
         assert g.degrees().min() >= 1
         with pytest.raises(DisconnectedGraph):
             all_pairs_average_path(g)
+        # the fold hands the kernel the 2-node block [64, 65]; on the whole
+        # graph, the kernel finds the unreached pairs itself
+        dom = netstats._dominators(g)
+        with pytest.raises(DisconnectedGraph, match="unreachable"):
+            netstats._block_sums(g.indptr, g.indices, dom, np.array([0, g.n]))
 
 
 def _union(graphs):
@@ -631,6 +638,30 @@ def _chains(draw):
     return graph_from_pairs(n, pairs), sorted(sizes)
 
 
+def _in_search_order(g):
+    """``g`` relabeled in breadth-first order from node 0, so that every
+    prefix of a connected graph is connected."""
+    order, seen = [0], {0}
+    for x in order:
+        for y in neighbors(g, x).tolist():
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    rank = dict(zip(order, range(g.n)))
+    return graph_from_pairs(g.n, [(rank[a], rank[b]) for a, b in edge_set(g)])
+
+
+@st.composite
+def _prefixed_graphs(draw):
+    # a graph that may be disconnected; a connected one under a random
+    # labelling, whose prefixes often are not; or one whose prefixes all
+    # are, without the path 0-1-...-n-1; and increasing prefix sizes
+    g = draw(st.one_of(_any_graphs(), _connected_graphs(),
+                       _connected_graphs().map(_in_search_order)))
+    sizes = draw(st.lists(st.integers(2, g.n), min_size=1, max_size=5, unique=True))
+    return g, sorted(sizes)
+
+
 class TestBlockFold:
     """All-pairs as a fold over the chain of blocks between cut vertices."""
 
@@ -646,6 +677,23 @@ class TestBlockFold:
         ]
         assert curve.average_path_full == full
         self.assert_dominators_inside_blocks(g, sizes)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_prefixed_graphs())
+    def test_random_graphs_match_floyd_warshall_or_raise(self, case):
+        # any graph, connected or not, under any labelling: the fold splits
+        # every prefix at the nodes no edge passes over
+        g, sizes = case
+        try:
+            want = [floyd_warshall_average_path(induced(g, 0, k)) for k in sizes]
+            full = floyd_warshall_average_path(g)
+        except ValueError:  # g or one of the prefixes is disconnected
+            with pytest.raises(DisconnectedGraph):
+                small_world_curve(g, sizes=sizes)
+            return
+        curve = small_world_curve(g, sizes=sizes)
+        assert curve.lengths.tolist() == want
+        assert curve.average_path_full == full
 
     @staticmethod
     def assert_dominators_inside_blocks(g, sizes):
@@ -678,23 +726,33 @@ class TestBlockFold:
             [(w, _, _, _)] = netstats._block_sums(h.indptr, h.indices, dom[:k], np.array([0, k]))
             assert length == w / (k * (k - 1))
 
-    def test_graph_without_a_path_edge_is_one_block(self, kernel_sizes):
-        # a path with (20, 21) swapped for (19, 21): split at the nodes no
-        # edge passes over, it would be 38 blocks
+    def test_graph_without_a_path_edge_splits_at_its_cut_vertices(self, kernel_sizes,
+                                                                     monkeypatch):
+        # a path with (20, 21) swapped for (19, 21): node 20 hangs off 19,
+        # and only (19, 21) passes over a node, so the graph splits into 38
+        # blocks, of which [19, 21] alone has more than two nodes
         g = graph_from_pairs(40, [(i, i + 1) for i in range(39) if i != 20] + [(19, 21)])
+        graphs = []
+        kernel = netstats._block_sums
+
+        def recorded(indptr, indices, dom, starts):
+            graphs.append((indptr.tolist(), indices.tolist()))
+            return kernel(indptr, indices, dom, starts)
+
+        monkeypatch.setattr(netstats, "_block_sums", recorded)
         assert all_pairs_average_path(g) == floyd_warshall_average_path(g)
-        assert kernel_sizes == [[40]]
-        # the path is tested on g, so each prefix is one block too, even
-        # those below the gap, which hold their own path
+        block = induced(g, 19, 22)
+        assert kernel_sizes == [[3]]
+        assert graphs == [(block.indptr.tolist(), block.indices.tolist())]
+        # prefixes 10 and 21 hold their own path, so every block of theirs
+        # is one edge and needs no kernel; the whole graph runs [19, 21] again
         sizes = [10, 21, 40]
         curve = small_world_curve(g, sizes=sizes)
         assert curve.lengths.tolist() == [
             floyd_warshall_average_path(induced(g, 0, k)) for k in sizes
         ]
-        # the planned blocks, then the kernel calls: one pass of one word
-        # covers all three, so they run as one union
-        assert [n for call in kernel_sizes[1:] for n in call] == sizes
-        assert kernel_sizes[1:] == [sizes]
+        assert kernel_sizes[1:] == [[3]]
+        assert graphs[1:] == graphs[:1]
 
     def test_blocks_run_once_per_curve(self, kernel_sizes):
         # blocks [0, 4] and [4, 9] of prefix 10 serve prefix 16, which
