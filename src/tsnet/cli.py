@@ -72,7 +72,7 @@ def _load_series(path: str, column: str, date_end: str | None) -> TimeSeries:
 
     The date column follows :func:`from_csv`'s rule for the name "date".
     """
-    col: str | int = int(column) if column.lstrip("-").isdigit() else column
+    col: str | int = int(column) if column.removeprefix("-").isdecimal() else column
     data = Path(path).read_bytes()
     date_col = "date" if date_end else None
     ts = from_csv(data, column=col, date_column=date_col, label=Path(path).name)
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--small-world",
         action="store_true",
-        help="include the growing-window L(N) section (slow on long series)",
+        help="include the growing-window L(N) section (slow; below 2**21 samples only)",
     )
     p.add_argument(
         "--tail-kmin",

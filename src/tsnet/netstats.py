@@ -279,16 +279,16 @@ def _pass_words(n: int, m: int) -> int:
     out), each row ``words * 8`` bytes; a level fills only the rows of
     real slots past the settled rows.  So peak memory stays flat on dense
     graphs, while sparse graphs get the widest pass (8 words, 512
-    sources).
+    sources).  Elementwise on arrays of n and m.
     """
-    return max(1, min(128 * n // max(m, 1), 8, -(-n // 64)))
+    return np.clip(np.minimum(128 * n // np.maximum(m, 1), -(-n // 64)), 1, 8)
 
 
 def all_pairs_average_path(g: VisibilityGraph) -> float:
     """Exact mean shortest-path length over all unordered node pairs.
 
-    The ordered-pair distance sum, exact in Python integers, over
-    ``n * (n - 1)``: :func:`_pair_sums` folds it over the chain of
+    The ordered-pair distance sum over ``n * (n - 1)``, exact (a graph of
+    2**21 nodes or more is refused): :func:`_pair_sums` folds it over the
     blocks between cut vertices, and :func:`_block_sums` runs each block.
     """
     if g.n < 2:
@@ -309,33 +309,35 @@ def _pair_sums(g: VisibilityGraph, sizes: list[int]) -> list[int]:
     sums D1(c) and D2(c) from c, the unordered pair sum is
     W1 + W2 + (n1 - 1) D2(c) + (n2 - 1) D1(c) (the cut-vertex rule for the
     Wiener index; Dobrynin, Entringer & Gutman, Acta Appl. Math. 66,
-    2001).  So the blocks fold left to right, keeping the ordered pair sum
-    W, the size s and the distance sum D from the last node: block [a, b]
-    of n_B nodes, with ordered pair sum W_B, end sums D_B(a), D_B(b) and
-    distance d_B(a, b), gives
+    2001).  So the blocks fold left to right over W and the distance sum
+    D from the last node.  Block [a, b] follows nodes 0..a, and with its
+    ordered pair sum W_B, end sums D_B(a), D_B(b) and distance d_B(a, b),
 
-        W' = W + W_B + 2 ((s - 1) D_B(a) + (n_B - 1) D)
-        D' = D_B(b) + (s - 1) d_B(a, b) + D,    s' = s + n_B - 1,
+        W' = W + W_B + 2 (a D_B(a) + (b - a) D),   D' = D + D_B(b) + a d_B(a, b).
 
-    all in Python integers.  A disconnected prefix has a disconnected
-    block (a chain of connected blocks is connected), which the kernel
-    rejects.
+    Over all prefixes' blocks in a row, D before a block is the exclusive
+    ``cumsum`` of D_B(b) + a d_B(a, b) from its prefix's first block; a
+    prefix's W is one ``add.reduceat``.  No term is negative, so each is
+    at most prefix k's W <= k (k - 1)**2, or the running sum, of last D <
+    k**2 each: below n**3 < 2**63 for n < 2**21, so int64 is exact; more
+    nodes are refused.  A disconnected prefix has a disconnected block (a
+    chain of connected blocks is connected), which the kernel rejects.
 
     The whole curve is planned before any search runs: every prefix's
-    block ends, then the distinct blocks.  Block [a, b] of prefix k is
-    the subgraph induced by a..b, whatever k is, so it runs once however
-    many prefixes hold it.  A 2-node block that holds the edge (a, a + 1)
-    needs no search; without it, both nodes are isolated, which the
-    kernel rejects.  Any other block of n_B nodes and m_B edges has w =
-    ``_pass_words(n_B, m_B)``.  One that a single pass covers (n_B <=
-    64 w) joins the block-diagonal union of every such block of the same
-    w, and each union is one one-pass :func:`_block_sums` call.  The
-    edges (u, v), u < v, of the CSR's lower triangle come ordered by v,
-    so those of prefix k are a leading slice; no edge passes over a, so
-    those of [a, b] are the slice with a < v <= b, from which the union
-    is rebuilt.  Each block has w = 1 or ``m_B w <= 128 n_B``, so the
-    union holds to ``_pass_words``' rule on memory too.  A block that
-    needs several passes runs alone on its :func:`_interval_csr` slice.
+    block ends, then the distinct blocks, by (a, b).  Block [a, b] of
+    prefix k is the subgraph induced by a..b, whatever k is, so it runs
+    once however many prefixes hold it.  The edges (u, v), u < v, of the
+    CSR's lower triangle come ordered by v, so those of prefix k are a
+    leading slice; no edge passes over a, so those of [a, b] are the
+    slice with a < v <= b.  A 2-node block has one edge there and needs
+    no search, or none, and the kernel rejects its isolated nodes.  Any
+    other block of n_B nodes and m_B edges has w = ``_pass_words(n_B,
+    m_B)``.  One that a single pass covers (n_B <= 64 w) joins the
+    block-diagonal union, rebuilt from the slices, of every such block of
+    the same w; each union is one one-pass :func:`_block_sums` call.  Each
+    block has w = 1 or ``m_B w <= 128 n_B``, so the union holds to
+    ``_pass_words``' rule on memory too.  A block that needs several
+    passes runs alone on its :func:`_interval_csr` slice.
 
     On a connected prefix, the dominators of ``g`` serve every block,
     counted from its start: no dominator below k lies outside its node's
@@ -349,6 +351,8 @@ def _pair_sums(g: VisibilityGraph, sizes: list[int]) -> list[int]:
     neighbors unread, and a search along fewer edges reaches no more
     nodes, so the kernel still rejects the disconnected block.
     """
+    if g.n >= 2**21:
+        raise InvalidParam("exact path sums need fewer than 2,097,152 (2**21) nodes")
     dom = _dominators(g)
     rows = np.repeat(np.arange(g.n), g.degrees())
     low = g.indices < rows
@@ -359,43 +363,39 @@ def _pair_sums(g: VisibilityGraph, sizes: list[int]) -> list[int]:
         # over[t] counts the edges (a, b) with a < t < b
         over = np.cumsum(np.bincount(u[:inside] + 1, minlength=k)
                          - np.bincount(v[:inside], minlength=k))
-        cuts.append(np.flatnonzero(over == 0).tolist())
-    blocks = dict.fromkeys(pair for ends in cuts for pair in zip(ends, ends[1:]))
-    # the nodes a < n - 1 without the edge (a, a + 1): none on a visibility graph
-    gaps = set(np.flatnonzero(np.bincount(u[v - u == 1], minlength=g.n - 1) == 0).tolist())
-    runs = {}  # pass width, or a block that needs several passes -> its blocks
-    for a, b in blocks:
-        if b == a + 1 and a not in gaps:
-            blocks[a, b] = (2, 1, 1, 1)
-            continue
-        lo, hi = np.searchsorted(v, (a, b), side="right")
-        words = _pass_words(b - a + 1, int(hi - lo))
-        runs.setdefault(words if b - a < 64 * words else (a, b), []).append((a, b, lo, hi))
-    for key, run in runs.items():
-        a, b, lo, hi = np.array(run).T
-        starts = np.r_[0, np.cumsum(b - a + 1)]
-        shift = starts[:-1] - a  # node x of block i is node x + shift[i] of the call
-        if isinstance(key, tuple):
-            indptr, indices = _interval_csr(g, key[0], key[1] + 1)
+        cuts.append(np.flatnonzero(over == 0))
+    ends = np.concatenate(cuts)  # every prefix's split nodes in a row, each from 0
+    a, b = ends[:-1][ends[1:] > 0], ends[1:][ends[1:] > 0]  # every prefix's blocks
+    pairs, block = np.unique(a * g.n + b, return_inverse=True)  # the distinct blocks
+    first, last = np.divmod(pairs, g.n)
+    lo, hi = np.searchsorted(v, (first, last), side="right")  # the edge slices
+    words = _pass_words(last - first + 1, hi - lo)
+    # one run per pass width, and one per block that needs several passes
+    key = np.where(last - first < 64 * words, words, -1 - np.arange(pairs.size))
+    found = np.full((pairs.size, 4), [2, 1, 1, 1])  # those of a 2-node block with its edge
+    need = np.flatnonzero((last - first > 1) | (hi == lo))  # the others run the kernel
+    _, seen, run = np.unique(key[need], return_index=True, return_inverse=True)
+    for r in np.argsort(seen):
+        pick = need[run == r]
+        ra, rb, rlo, rhi = first[pick], last[pick], lo[pick], hi[pick]
+        starts = np.r_[0, np.cumsum(rb - ra + 1)]
+        shift = starts[:-1] - ra  # node x of block i is node x + shift[i] of the call
+        if key[pick[0]] < 0:
+            indptr, indices = _interval_csr(g, ra[0], rb[0] + 1)
         else:  # the blocks' edge slices, shifted, as directed entries grouped by row
-            pick = np.concatenate([np.arange(l, h) for l, h in zip(lo, hi)])
-            low_end, high_end = (x[pick] + np.repeat(shift, hi - lo) for x in (u, v))
+            span = rhi - rlo
+            sel = np.arange(span.sum()) + np.repeat(rlo - np.cumsum(span) + span, span)
+            low_end, high_end = (x[sel] + np.repeat(shift, span) for x in (u, v))
             rows = np.r_[high_end, low_end]
             indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=starts[-1]))]
             indices = np.r_[low_end, high_end][np.argsort(rows, kind="stable")]
-        node = np.arange(starts[-1]) - np.repeat(shift, b - a + 1)
-        found = _block_sums(indptr, indices, dom[node] - np.repeat(a, b - a + 1), starts)
-        blocks.update(zip(zip(a.tolist(), b.tolist()), found))
-    sums = []
-    for ends in cuts:
-        total, size, dist = 0, 1, 0  # W, s and D of node 0 alone
-        for a, b in zip(ends, ends[1:]):
-            w, da, db, dab = blocks[a, b]
-            total += w + 2 * ((size - 1) * da + (b - a) * dist)
-            dist += db + (size - 1) * dab
-            size += b - a
-        sums.append(total)
-    return sums
+        node = np.arange(starts[-1]) - np.repeat(shift, rb - ra + 1)
+        found[pick] = _block_sums(indptr, indices, dom[node] - np.repeat(ra, rb - ra + 1), starts)
+    w, da, db, dab = found[block].T
+    dist = np.cumsum(np.r_[0, (db + a * dab)[:-1]])  # D before each block, plus earlier prefixes'
+    head = np.flatnonzero(a == 0)  # each prefix's first block
+    dist -= dist[head][np.cumsum(a == 0) - 1]  # less those
+    return np.add.reduceat(w + 2 * (a * da + (b - a) * dist), head).tolist()
 
 
 def _interval_csr(g: VisibilityGraph, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -590,8 +590,8 @@ def small_world_curve(g: VisibilityGraph,
     The graph of the first k samples is the subgraph of ``g`` induced by
     nodes 0..k-1, so the dominators of ``g`` serve every prefix, and the
     whole graph too where the last size is below ``g.n``.  Every length is
-    one fold of a single :func:`_pair_sums` call, and no graph is built: a
-    block runs the kernel once, in a union rebuilt from lower-triangle edge
+    one array fold of a single :func:`_pair_sums` call, and no graph is
+    built: a block runs the kernel once, in a union rebuilt from edge
     slices or, past one pass, alone on its :func:`_interval_csr` slice.
     """
     n = g.n

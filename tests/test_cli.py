@@ -196,6 +196,22 @@ class TestAnalyze:
         assert run(["analyze", "--input", fgn_csv, "--column", "epu"]) == 1
         assert "epu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["\u00b9", "\u00b2", "--5"])
+    def test_non_decimal_column_is_a_name(self, fgn_csv, capsys, column):
+        # str.isdigit accepts superscripts, and int() then raised a bare
+        # ValueError; only a decimal string, less one leading "-", is an index
+        assert run(["analyze", "--input", fgn_csv, f"--column={column}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("tsnet: error:") and "Traceback" not in err
+        assert f"column {column!r} not in header ['index', 'value']" in err
+
+    @pytest.mark.parametrize("column", ["\u0663", "-1"])
+    def test_decimal_column_out_of_range(self, fgn_csv, capsys, column):
+        # an Arabic-Indic three is the decimal index 3, as int() reads it
+        assert run(["analyze", "--input", fgn_csv, f"--column={column}"]) == 1
+        err = capsys.readouterr().err
+        assert f"column index {int(column)} out of range (row 1 has 2 cells)" in err
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc_info:
             run(["analyze"])  # --input missing

@@ -235,6 +235,26 @@ class TestPaths:
         with pytest.raises(DisconnectedGraph, match="isolated node"):
             small_world_curve(g, sizes=[2, 3])
 
+    def test_path_sums_refuse_2_21_nodes(self, monkeypatch):
+        # the array fold is exact in int64 while n**3 < 2**63; the refusal
+        # comes before the triangle count that the dominators read
+        g = _csr_path(2**21)
+        counted = []
+        count = netstats._common_neighbors
+        monkeypatch.setattr(netstats, "_common_neighbors",
+                            lambda h: counted.append(h.n) or count(h))
+        for call in (small_world_curve, all_pairs_average_path):
+            with pytest.raises(InvalidParam, match="2,097,152"):
+                call(g)
+        assert counted == []
+
+    def test_average_path_divides_exact_integers(self):
+        # on a path W = n (n**2 - 1) / 3, above 2**53 at this n, so an int64
+        # or float quotient rounds W first and misses (n + 1) / 3
+        n = 381_754
+        assert np.int64(n * (n * n - 1) // 3) / np.int64(n * (n - 1)) != (n + 1) / 3
+        assert all_pairs_average_path(_csr_path(n)) == (n + 1) / 3
+
     def test_stale_thread_env_ignored(self, rng, monkeypatch):
         # the search reads no settings from the environment, so a stale
         # TSNET_THREADS neither fails nor changes the value
@@ -243,6 +263,15 @@ class TestPaths:
         expected = all_pairs_average_path(g)
         monkeypatch.setenv("TSNET_THREADS", "zero")
         assert all_pairs_average_path(g) == expected  # bitwise
+
+
+def _csr_path(n):
+    """The path 0-1-...-(n-1), built from CSR arrays: at a million nodes,
+    building it from edge pairs takes too long."""
+    deg = np.full(n, 2)
+    deg[[0, -1]] = 1
+    near = np.arange(n)[:, None] + [-1, 1]  # each node's two neighbors, 0 and n - 1 less one
+    return VisibilityGraph(indptr=np.r_[0, np.cumsum(deg)], indices=near.ravel()[1:-1])
 
 
 def _path_graph(n):
